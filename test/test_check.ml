@@ -6,7 +6,8 @@
    paper's structures at small sizes, the seeded balancer bug
    (step-property counterexample found well under the 10k budget and
    byte-identically replayable), the centralized pool's deadlock under
-   a starved dequeuer, and the quiescent-consistency monitor. *)
+   a starved dequeuer, golden exploration counts and counterexample
+   schedules, and the quiescent-consistency monitor. *)
 
 module E = Sim.Engine
 module Ex = Check.Explore
@@ -173,6 +174,75 @@ let test_starved_central_pool_deadlocks () =
       check_bool "counted" true (o.Ex.deadlocks > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Golden exploration: the explorer's counts are part of its contract  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every count below was recorded before the explorer's bookkeeping
+   was rewritten for speed; exploration order and pruning must stay
+   exactly as they were.  Seed 1 is the seed `dune build @check`
+   uses, so these agree with its printed execution counts. *)
+
+let counts (o : Ex.outcome) =
+  Printf.sprintf
+    "runs=%d complete=%d deadlocks=%d sleep_blocked=%d budget_hits=%d \
+     max_depth=%d capped=%b"
+    o.Ex.runs o.Ex.complete o.Ex.deadlocks o.Ex.sleep_blocked
+    o.Ex.budget_hits o.Ex.max_depth o.Ex.capped
+
+let test_golden_dpor_counts () =
+  List.iter
+    (fun (scenario, procs, width, ops, expected) ->
+      let prog = scenario.Sc.make ~procs ~width ~ops in
+      check_string
+        (Printf.sprintf "%s p%d w%d o%d" scenario.Sc.name procs width ops)
+        expected
+        (counts (Ex.explore ~seed:1 prog)))
+    [
+      ( Sc.elim_pool, 2, 4, 1,
+        "runs=1893 complete=1893 deadlocks=0 sleep_blocked=0 budget_hits=0 \
+         max_depth=91 capped=false" );
+      ( Sc.counter_mixed, 2, 2, 1,
+        "runs=130 complete=130 deadlocks=0 sleep_blocked=0 budget_hits=0 \
+         max_depth=43 capped=false" );
+      ( Sc.tree, 3, 2, 1,
+        "runs=1202 complete=1132 deadlocks=0 sleep_blocked=70 budget_hits=0 \
+         max_depth=61 capped=false" );
+      ( Sc.shard, 3, 2, 1,
+        "runs=159 complete=133 deadlocks=0 sleep_blocked=26 budget_hits=0 \
+         max_depth=107 capped=false" );
+      ( Sc.central_pool, 3, 2, 2,
+        "runs=105 complete=96 deadlocks=0 sleep_blocked=9 budget_hits=0 \
+         max_depth=20 capped=false" );
+    ]
+
+let test_golden_naive_counts () =
+  let prog = Sc.elim_pool.Sc.make ~procs:3 ~width:2 ~ops:1 in
+  check_string "elim_pool p3 w2 o1, naive, 2,000-execution cap"
+    "runs=2000 complete=2000 deadlocks=0 sleep_blocked=0 budget_hits=0 \
+     max_depth=70 capped=true"
+    (counts (Ex.explore ~dpor:false ~max_interleavings:2_000 ~seed:1 prog))
+
+let test_golden_counterexamples () =
+  let prog = Sc.tree_buggy.Sc.make ~procs:2 ~width:2 ~ops:2 in
+  (match (Ex.explore ~seed:1 prog).Ex.counterexample with
+  | None -> Alcotest.fail "tree_buggy: no counterexample"
+  | Some (v, r) ->
+      check_string "tree_buggy schedule" "0x26,1x27"
+        (Ex.format_schedule r.Ex.schedule);
+      check_string "tree_buggy minimised schedule" "0x26,1x27"
+        (Ex.format_schedule (Ex.minimize ~seed:1 prog v r.Ex.schedule)));
+  (* The deadlock detail names process-global location ids, so only
+     the deadlocked pids are pinned. *)
+  let prog = Sc.central_pool_starved.Sc.make ~procs:2 ~width:2 ~ops:1 in
+  match (Ex.explore ~seed:1 prog).Ex.counterexample with
+  | Some (_, { Ex.status = Ex.Deadlocked blocked; schedule; _ }) ->
+      Alcotest.(check (list int))
+        "central_pool_starved deadlocked pids" [ 1 ] (List.map fst blocked);
+      check_string "central_pool_starved schedule" "0x2,1x7"
+        (Ex.format_schedule schedule)
+  | _ -> Alcotest.fail "central_pool_starved: no deadlock"
+
+(* ------------------------------------------------------------------ *)
 (* Quiescent-consistency monitor                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -222,6 +292,13 @@ let () =
             test_unseeded_tree_clean;
           Alcotest.test_case "starved central pool deadlocks" `Quick
             test_starved_central_pool_deadlocks;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "dpor counts" `Slow test_golden_dpor_counts;
+          Alcotest.test_case "naive counts" `Slow test_golden_naive_counts;
+          Alcotest.test_case "counterexamples" `Quick
+            test_golden_counterexamples;
         ] );
       ( "monitor",
         [

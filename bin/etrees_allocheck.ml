@@ -23,9 +23,10 @@ let usage =
    [--list-hot] [--print-budget] PATH..."
 
 (* The simulator core's hot roots: the scheduler step loop, the engine
-   dispatch ops, the event heap (including the root accessors the step
-   loop calls per event), and the memory stamps the scheduler calls per
-   serialized operation.  Override with --roots. *)
+   dispatch ops (and [cells_get], which structures call on every access
+   to a ring slot), the event heap (including the root accessors the
+   step loop calls per event), and the memory stamps the scheduler calls
+   per serialized operation.  Override with --roots. *)
 let default_roots =
   [
     "Scheduler.run";
@@ -39,6 +40,7 @@ let default_roots =
     "Engine_impl.random_int";
     "Engine_impl.random_bernoulli";
     "Engine_impl.now";
+    "Engine_impl.cells_get";
     "Event_heap.push";
     "Event_heap.pop";
     "Event_heap.min_time";

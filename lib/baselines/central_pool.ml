@@ -10,7 +10,7 @@
 
 module Make (E : Engine.S) = struct
   type 'v t = {
-    slots : 'v option E.cell array;
+    slots : 'v option E.cells;
     head : Sync.Counter.t; (* enqueue ticket dispenser *)
     tail : Sync.Counter.t; (* dequeue ticket dispenser *)
     poll : int;            (* cycles between slot re-checks *)
@@ -21,11 +21,11 @@ module Make (E : Engine.S) = struct
      chosen optimally", Fig. 5). *)
   let create ?(poll = 16) ~size ~head ~tail () =
     if size < 1 then invalid_arg "Central_pool.create";
-    { slots = Array.init size (fun _ -> E.cell None); head; tail; poll }
+    { slots = E.cells size None; head; tail; poll }
 
   let enqueue t v =
-    let i = Sync.Counter.fetch_and_inc t.head mod Array.length t.slots in
-    let slot = t.slots.(i) in
+    let i = Sync.Counter.fetch_and_inc t.head mod E.cells_length t.slots in
+    let slot = E.cells_get t.slots i in
     let rec attempt () =
       if E.compare_and_set slot None (Some v) then ()
       else begin
@@ -40,14 +40,19 @@ module Make (E : Engine.S) = struct
   (* Occupied slots; exact when quiescent (engine-level reads: call
      inside a simulator run). *)
   let residue t =
-    Array.fold_left
-      (fun acc slot ->
-        match E.get slot with Some _ -> acc + 1 | None -> acc)
-      0 t.slots
+    let rec count i acc =
+      if i = E.cells_length t.slots then acc
+      else
+        count (i + 1)
+          (match E.get (E.cells_get t.slots i) with
+          | Some _ -> acc + 1
+          | None -> acc)
+    in
+    count 0 0
 
   let dequeue ?(stop = fun () -> false) t =
-    let i = Sync.Counter.fetch_and_inc t.tail mod Array.length t.slots in
-    let slot = t.slots.(i) in
+    let i = Sync.Counter.fetch_and_inc t.tail mod E.cells_length t.slots in
+    let slot = E.cells_get t.slots i in
     let rec attempt () =
       match E.get slot with
       | Some v as el ->

@@ -19,9 +19,10 @@
    Happens-before is tracked with vector clocks: one clock per
    processor, plus per-location writer and (accumulated) reader
    clocks.  Dependent accesses to a single location are totally
-   ordered amongst themselves in any one execution, so the "latest
-   dependent transition" is the first dependent entry of the
-   location's newest-first access log.
+   ordered amongst themselves in any one execution, so the latest
+   transition a pending access depends on is the location's newest
+   access if the pending one writes, and its newest write if it only
+   reads: two records per location stand in for an access log.
 
    Blocking (spin loops re-reading an unchanged location) is detected
    with the location epoch fingerprint that [Memory.commit_stamp]
@@ -30,9 +31,14 @@
    again a read/rmw of that still-unchanged location — is *disabled*.
    A state where every unfinished processor is disabled is a deadlock
    (for the paper's structures: livelock by spinning, e.g. the
-   centralized pool of Figure 5 polling an empty slot). *)
+   centralized pool of Figure 5 polling an empty slot).
+
+   The per-step bookkeeping builds no lists, options or hash buckets:
+   sets of pids are bitmasks, and the per-location records and clocks
+   are reused from one execution to the next. *)
 
 module S = Sim.Scheduler
+module M = Sim.Memory
 
 (* Minimal growable array (no Dynarray dependency). *)
 module Vec = struct
@@ -78,11 +84,13 @@ type run = {
   violations : Monitor.violation list;
 }
 
+(* Sets of pids are bitmasks (bit p = processor p): a controlled run
+   has at most 62 processors. *)
 type frame = {
-  f_enabled : int list;
-  f_sleep : int list;
-  mutable f_backtrack : int list;
-  mutable f_done : int list;
+  f_enabled : int;
+  f_sleep : int;
+  mutable f_backtrack : int;
+  mutable f_done : int;
   mutable f_chosen : int;
 }
 
@@ -90,106 +98,197 @@ type mode = Dpor | Naive | Replay of int array
 
 let is_write = function S.Acc_write | S.Acc_rmw -> true | S.Acc_read -> false
 
-let dependent (k1, (l1 : Sim.Memory.loc)) (k2, (l2 : Sim.Memory.loc)) =
-  l1.id = l2.id && (is_write k1 || is_write k2)
+let bit p = 1 lsl p
+let mem p set = set land (1 lsl p) <> 0
+let rec lowest_from set p = if mem p set then p else lowest_from set (p + 1)
 
-let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames
+(* The smallest pid in a non-empty set. *)
+let lowest set = lowest_from set 0
+
+(* One location's state in the current execution: its newest access
+   and newest write (1-based steps, 0 = none) and its writer and
+   accumulated reader vector clocks. *)
+type loc_state = {
+  mutable loc : M.loc;
+  mutable pos : int;  (* its entry in the id table *)
+  mutable acc_step : int;
+  mutable acc_pid : int;
+  mutable wr_step : int;
+  mutable wr_pid : int;
+  wcv : int array;
+  rcv : int array;
+}
+
+(* Location ids are process-global, grow from one execution to the
+   next, and are sparse where [cells] reserves a block, so each
+   execution numbers the locations it touches densely.  The id table
+   is open-addressed with linear probing and at most half full; it and
+   the [loc_state] records are reused across executions. *)
+type locs = {
+  mutable count : int;  (* locations touched in this execution *)
+  mutable states : loc_state array;  (* by dense index *)
+  mutable keys : int array;  (* location id, -1 = empty *)
+  mutable dense : int array;  (* the id's dense index *)
+}
+
+let new_locs () =
+  { count = 0; states = [||]; keys = Array.make 64 (-1); dense = Array.make 64 0 }
+
+let rec probe keys id mask i =
+  let k = keys.(i) in
+  if k = id || k < 0 then i else probe keys id mask ((i + 1) land mask)
+
+let slot_of keys id =
+  let mask = Array.length keys - 1 in
+  probe keys id mask (((id * 0x9E3779B1) lsr 16) land mask)
+
+(* The dense index of location [id] in this execution, or -1. *)
+let find ls id =
+  let i = slot_of ls.keys id in
+  if ls.keys.(i) = id then ls.dense.(i) else -1
+
+let enter ls k =
+  let id = ls.states.(k).loc.M.id in
+  let i = slot_of ls.keys id in
+  ls.keys.(i) <- id;
+  ls.dense.(i) <- k;
+  ls.states.(k).pos <- i
+
+(* The dense index of [loc], numbering it if this execution has not
+   touched it yet. *)
+let touch ls n (loc : M.loc) =
+  let k = find ls loc.M.id in
+  if k >= 0 then k
+  else begin
+    let k = ls.count in
+    ls.count <- k + 1;
+    if k = Array.length ls.states then begin
+      let old = ls.states in
+      ls.states <-
+        Array.init (max 64 (2 * k)) (fun j ->
+            if j < k then old.(j)
+            else
+              { loc; pos = 0; acc_step = 0; acc_pid = 0; wr_step = 0;
+                wr_pid = 0; wcv = Array.make n 0; rcv = Array.make n 0 })
+    end;
+    let l = ls.states.(k) in
+    l.loc <- loc;
+    l.acc_step <- 0;
+    l.wr_step <- 0;
+    Array.fill l.wcv 0 n 0;
+    Array.fill l.rcv 0 n 0;
+    if 2 * ls.count > Array.length ls.keys then begin
+      let size = 2 * Array.length ls.keys in
+      ls.keys <- Array.make size (-1);
+      ls.dense <- Array.make size 0;
+      for j = 0 to k - 1 do
+        enter ls j
+      done
+    end;
+    enter ls k;
+    k
+  end
+
+let clear ls =
+  for k = 0 to ls.count - 1 do
+    ls.keys.(ls.states.(k).pos) <- -1
+  done;
+  ls.count <- 0
+
+let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
     (program : program) =
   let n = program.procs in
   let inst = program.prepare () in
   let sched = Vec.create () in
   let status = ref Complete in
   (* Vector clocks: per-processor, per-location writer, per-location
-     accumulated readers.  Step indices are 1-based. *)
+     accumulated readers (in [locs]).  Step indices are 1-based. *)
   let proc_cv = Array.init n (fun _ -> Array.make n 0) in
-  let w_cv : (int, int array) Hashtbl.t = Hashtbl.create 64 in
-  let r_cv : (int, int array) Hashtbl.t = Hashtbl.create 64 in
-  (* Per-location access log, newest first: (step, is_write, pid). *)
-  let log : (int, (int * bool * int) list) Hashtbl.t = Hashtbl.create 64 in
-  let join dst src = Array.iteri (fun i v -> if v > dst.(i) then dst.(i) <- v) src in
+  clear locs;
+  let join dst src =
+    for i = 0 to n - 1 do
+      if src.(i) > dst.(i) then dst.(i) <- src.(i)
+    done
+  in
   (* Spin-block detection state. *)
   let spin_loc = Array.make n (-1) in
   let spin_fp = Array.make n min_int in
   let spin_run = Array.make n 0 in
-  let last_fired = ref None in
+  (* The previous decision's pid (-1 = none) and location. *)
+  let last_pid = ref (-1) and last_loc = ref 0 in
   let note_spin () =
-    match !last_fired with
-    | None -> ()
-    | Some (p, (l : Sim.Memory.loc)) ->
-        last_fired := None;
-        (* The fingerprint is read *after* the access committed: an
-           access that left the location's epoch exactly where this
-           processor last saw it made no progress. *)
-        if l.id = spin_loc.(p) && l.epoch_seq = spin_fp.(p) then
-          spin_run.(p) <- spin_run.(p) + 1
-        else begin
-          spin_loc.(p) <- l.id;
-          spin_fp.(p) <- l.epoch_seq;
-          spin_run.(p) <- 1
-        end
+    let p = !last_pid in
+    if p >= 0 then begin
+      last_pid := -1;
+      let l = locs.states.(!last_loc).loc in
+      (* The fingerprint is read *after* the access committed: an
+         access that left the location's epoch exactly where this
+         processor last saw it made no progress. *)
+      if l.id = spin_loc.(p) && l.epoch_seq = spin_fp.(p) then
+        spin_run.(p) <- spin_run.(p) + 1
+      else begin
+        spin_loc.(p) <- l.id;
+        spin_fp.(p) <- l.epoch_seq;
+        spin_run.(p) <- 1
+      end
+    end
   in
-  let blocked p (a : S.access) =
-    a.S.acc_kind <> S.Acc_write
+  let blocked t p =
+    let l = S.pending_loc t p in
+    S.pending_kind t p <> S.Acc_write
     && spin_run.(p) >= spin_threshold
-    && a.S.acc_loc.Sim.Memory.id = spin_loc.(p)
-    && a.S.acc_loc.Sim.Memory.epoch_seq = spin_fp.(p)
+    && l.M.id = spin_loc.(p)
+    && l.M.epoch_seq = spin_fp.(p)
   in
-  let cur_sleep = ref [] in
+  let cur_sleep = ref 0 in
   let add_backtrack i p =
     if i >= 0 && i < Vec.length frames then begin
       let f = Vec.get frames i in
-      if List.mem p f.f_enabled then begin
-        if not (List.mem p f.f_backtrack) then f.f_backtrack <- p :: f.f_backtrack
-      end
-      else
-        List.iter
-          (fun q ->
-            if not (List.mem q f.f_backtrack) then f.f_backtrack <- q :: f.f_backtrack)
-          f.f_enabled
+      f.f_backtrack <-
+        f.f_backtrack lor (if mem p f.f_enabled then bit p else f.f_enabled)
     end
   in
   (* Is there a race between an executed access and [p]'s pending one?
-     Scan the location's log newest-first for the latest dependent
-     transition; it races iff by another processor and not ordered
-     before [p]'s next transition by happens-before. *)
-  let race_check p (a : S.access) =
-    let wr = is_write a.S.acc_kind in
-    let rec scan = function
-      | [] -> ()
-      | (step, w, q) :: rest ->
-          if w || wr then begin
-            if q <> p && proc_cv.(p).(q) < step then add_backtrack (step - 1) p
-          end
-          else scan rest
-    in
-    scan (Option.value ~default:[] (Hashtbl.find_opt log a.S.acc_loc.Sim.Memory.id))
+     The latest dependent transition is the location's newest access
+     if [p] writes, its newest write if [p] reads; it races iff by
+     another processor and not ordered before [p]'s next transition
+     by happens-before. *)
+  let race_check t p =
+    let k = find locs (S.pending_loc t p).M.id in
+    if k >= 0 then begin
+      let l = locs.states.(k) in
+      let wr = is_write (S.pending_kind t p) in
+      let step = if wr then l.acc_step else l.wr_step in
+      let q = if wr then l.acc_pid else l.wr_pid in
+      if step > 0 && q <> p && proc_cv.(p).(q) < step then
+        add_backtrack (step - 1) p
+    end
   in
-  let record p (a : S.access) =
-    let id = a.S.acc_loc.Sim.Memory.id in
+  let record t p =
+    let k = touch locs n (S.pending_loc t p) in
+    let l = locs.states.(k) in
     let step = Vec.length sched + 1 in
-    let wr = is_write a.S.acc_kind in
+    let wr = is_write (S.pending_kind t p) in
     let cv = proc_cv.(p) in
-    (match Hashtbl.find_opt w_cv id with Some w -> join cv w | None -> ());
-    if wr then (match Hashtbl.find_opt r_cv id with Some r -> join cv r | None -> ());
+    join cv l.wcv;
+    if wr then join cv l.rcv;
     cv.(p) <- step;
-    if wr then Hashtbl.replace w_cv id (Array.copy cv)
-    else begin
-      let r =
-        match Hashtbl.find_opt r_cv id with
-        | Some r -> r
-        | None ->
-            let r = Array.make n 0 in
-            Hashtbl.replace r_cv id r;
-            r
-      in
-      join r cv
+    if wr then Array.blit cv 0 l.wcv 0 n else join l.rcv cv;
+    l.acc_step <- step;
+    l.acc_pid <- p;
+    if wr then begin
+      l.wr_step <- step;
+      l.wr_pid <- p
     end;
-    Hashtbl.replace log id
-      ((step, wr, p) :: Option.value ~default:[] (Hashtbl.find_opt log id));
     Vec.push sched p;
-    last_fired := Some (p, a.S.acc_loc)
+    last_pid := p;
+    last_loc := k
   in
-  let choose (runnable : (int * S.access) list) : S.choice =
+  let dependent t q p =
+    (S.pending_loc t q).M.id = (S.pending_loc t p).M.id
+    && (is_write (S.pending_kind t q) || is_write (S.pending_kind t p))
+  in
+  let choose t runnable : S.choice =
     note_spin ();
     let d = Vec.length sched in
     if d >= max_steps then begin
@@ -198,82 +297,77 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames
     end
     else begin
       (match mode with
-      | Dpor -> List.iter (fun (p, a) -> race_check p a) runnable
+      | Dpor ->
+          for p = 0 to n - 1 do
+            if mem p runnable then race_check t p
+          done
       | Naive | Replay _ -> ());
-      let enabled =
-        List.filter_map
-          (fun (p, a) -> if blocked p a then None else Some p)
-          runnable
-      in
-      if enabled = [] then begin
-        status :=
-          Deadlocked
-            (List.map (fun (p, a) -> (p, a.S.acc_loc.Sim.Memory.id)) runnable);
+      let enabled = ref 0 in
+      for p = 0 to n - 1 do
+        if mem p runnable && not (blocked t p) then enabled := !enabled lor bit p
+      done;
+      let enabled = !enabled in
+      if enabled = 0 then begin
+        let procs = ref [] in
+        for p = n - 1 downto 0 do
+          if mem p runnable then
+            procs := (p, (S.pending_loc t p).M.id) :: !procs
+        done;
+        status := Deadlocked !procs;
         S.Quit
       end
       else
         let pick =
           match mode with
           | Replay forced ->
-              if d < Array.length forced && List.mem forced.(d) enabled then
-                Some forced.(d)
-              else Some (List.hd enabled)
+              if d < Array.length forced && mem forced.(d) enabled then
+                forced.(d)
+              else lowest enabled
           | Dpor | Naive ->
               if d < Vec.length frames then begin
                 (* Replaying the committed prefix of the exploration. *)
                 let f = Vec.get frames d in
-                assert (List.mem f.f_chosen enabled);
-                Some f.f_chosen
+                assert (mem f.f_chosen enabled);
+                f.f_chosen
               end
               else begin
-                match
-                  List.filter (fun p -> not (List.mem p !cur_sleep)) enabled
-                with
-                | [] -> None
-                | p :: _ ->
+                match enabled land lnot !cur_sleep with
+                | 0 -> -1
+                | awake ->
+                    let p = lowest awake in
                     Vec.push frames
                       {
                         f_enabled = enabled;
                         f_sleep = !cur_sleep;
                         f_backtrack =
-                          (match mode with Naive -> enabled | _ -> [ p ]);
-                        f_done = [ p ];
+                          (match mode with Naive -> enabled | _ -> bit p);
+                        f_done = bit p;
                         f_chosen = p;
                       };
-                    Some p
+                    p
               end
         in
-        match pick with
-        | None ->
-            status := Sleep_blocked;
-            S.Quit
-        | Some p ->
-            let a = List.assoc p runnable in
-            (match mode with
-            | Dpor ->
-                (* Sleep set of the successor: explored siblings join,
-                   anything dependent on the chosen access wakes. *)
-                let f = Vec.get frames d in
-                let base =
-                  f.f_sleep
-                  @ List.filter
-                      (fun q -> q <> p && not (List.mem q f.f_sleep))
-                      f.f_done
-                in
-                cur_sleep :=
-                  List.filter
-                    (fun q ->
-                      match List.assoc_opt q runnable with
-                      | Some aq ->
-                          not
-                            (dependent
-                               (aq.S.acc_kind, aq.S.acc_loc)
-                               (a.S.acc_kind, a.S.acc_loc))
-                      | None -> false)
-                    base
-            | Naive | Replay _ -> ());
-            record p a;
-            S.Fire p
+        if pick < 0 then begin
+          status := Sleep_blocked;
+          S.Quit
+        end
+        else begin
+          (match mode with
+          | Dpor ->
+              (* Sleep set of the successor: explored siblings join,
+                 anything dependent on the chosen access wakes. *)
+              let f = Vec.get frames d in
+              let base = f.f_sleep lor (f.f_done land lnot (bit pick)) in
+              let sleep = ref 0 in
+              for q = 0 to n - 1 do
+                if mem q base && mem q runnable && not (dependent t q pick)
+                then sleep := !sleep lor bit q
+              done;
+              cur_sleep := !sleep
+          | Naive | Replay _ -> ());
+          record t pick;
+          S.Fire pick
+        end
     end
   in
   let result =
@@ -321,7 +415,7 @@ type outcome = {
 
 let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
     ?(spin_threshold = 3) ?(seed = 0x5eed) ?(stop_on_violation = true) program =
-  let frames = Vec.create () in
+  let frames = Vec.create () and locs = new_locs () in
   let mode = if dpor then Dpor else Naive in
   let runs = ref 0
   and complete = ref 0
@@ -338,7 +432,9 @@ let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
          capped := true;
          raise Exit
        end;
-       let r = run_once ~seed ~spin_threshold ~max_steps ~mode ~frames program in
+       let r =
+         run_once ~seed ~spin_threshold ~max_steps ~mode ~frames ~locs program
+       in
        incr runs;
        if Array.length r.schedule > !max_depth then
          max_depth := Array.length r.schedule;
@@ -357,19 +453,14 @@ let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
          if Vec.length frames = 0 then exhausted := true
          else begin
            let f = Vec.get frames (Vec.length frames - 1) in
-           match
-             List.filter
-               (fun p ->
-                 (not (List.mem p f.f_done)) && not (List.mem p f.f_sleep))
-               f.f_backtrack
-           with
-           | [] ->
+           match f.f_backtrack land lnot (f.f_done lor f.f_sleep) with
+           | 0 ->
                Vec.truncate frames (Vec.length frames - 1);
                pop ()
-           | c :: cs ->
-               let p = List.fold_left min c cs in
+           | todo ->
+               let p = lowest todo in
                f.f_chosen <- p;
-               f.f_done <- p :: f.f_done
+               f.f_done <- f.f_done lor bit p
          end
        in
        pop ()
@@ -389,7 +480,7 @@ let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
 let replay ?(seed = 0x5eed) ?(spin_threshold = 3) ?(max_steps = 20_000) program
     schedule =
   run_once ~seed ~spin_threshold ~max_steps ~mode:(Replay schedule)
-    ~frames:(Vec.create ()) program
+    ~frames:(Vec.create ()) ~locs:(new_locs ()) program
 
 (* --- Counterexample minimization and rendering ----------------------- *)
 

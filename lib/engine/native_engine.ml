@@ -9,6 +9,13 @@
 type 'a cell = 'a Atomic.t
 
 let cell = Atomic.make
+
+type 'a cells = 'a Atomic.t array
+
+let cells n v = Array.init n (fun _ -> Atomic.make v)
+let cells_get = Array.get
+let cells_length = Array.length
+
 let get = Atomic.get
 let set = Atomic.set
 let exchange = Atomic.exchange

@@ -42,6 +42,24 @@ module type S = sig
       Allocation is free of synchronization cost in both engines, so it
       may be used during data-structure construction. *)
 
+  type 'a cells
+  (** A fixed-length array of shared locations. *)
+
+  val cells : int -> 'a -> 'a cells
+  (** [cells n v] allocates [n] fresh locations initialized to [v],
+      behaving exactly like [Array.init n (fun _ -> cell v)].  Use it
+      for large rings whose slots are touched sparsely: natively it is
+      that eager array, but the simulator only reserves the block's
+      location ids up front and builds each cell on its first
+      {!cells_get}, so a run pays only for the slots it touches. *)
+
+  val cells_get : 'a cells -> int -> 'a cell
+  (** [cells_get c i] is the [i]-th location of [c] (the same one on
+      every call).  Raises [Invalid_argument] if [i] is out of
+      bounds. *)
+
+  val cells_length : 'a cells -> int
+
   val get : 'a cell -> 'a
   (** Atomic read. *)
 

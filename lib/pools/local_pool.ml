@@ -16,7 +16,7 @@ module Make (E : Engine.S) = struct
     uid : int; (* global lock-ordering rank (see [Rsu]) *)
     discipline : [ `Fifo | `Lifo ];
     lock : Lock.t;
-    buf : 'v option E.cell array;
+    buf : 'v option E.cells; (* the ring; built per slot on first touch *)
     head : int E.cell; (* index of the oldest element *)
     tail : int E.cell; (* index one past the newest element *)
   }
@@ -33,12 +33,14 @@ module Make (E : Engine.S) = struct
       uid;
       discipline;
       lock = Lock.create ~capacity:lock_capacity ();
-      buf = Array.init size (fun _ -> E.cell None);
+      buf = E.cells size None;
       head = E.cell 0;
       tail = E.cell 0;
     }
 
-  let capacity t = Array.length t.buf
+  let capacity t = E.cells_length t.buf
+
+  let slot_at t i = E.cells_get t.buf (i mod E.cells_length t.buf)
 
   (* ---- raw operations: caller holds [lock] ---- *)
 
@@ -46,9 +48,9 @@ module Make (E : Engine.S) = struct
 
   let raw_push t v =
     let tail = E.get t.tail in
-    if tail - E.get t.head >= Array.length t.buf then
+    if tail - E.get t.head >= capacity t then
       failwith "Local_pool: overflow (increase ~size)";
-    E.set t.buf.(tail mod Array.length t.buf) (Some v);
+    E.set (slot_at t tail) (Some v);
     E.set t.tail (tail + 1)
 
   let raw_pop t =
@@ -58,7 +60,7 @@ module Make (E : Engine.S) = struct
       let slot_index =
         match t.discipline with `Fifo -> head | `Lifo -> tail - 1
       in
-      let slot = t.buf.(slot_index mod Array.length t.buf) in
+      let slot = slot_at t slot_index in
       let v = E.get slot in
       E.set slot None;
       (match t.discipline with
@@ -76,7 +78,7 @@ module Make (E : Engine.S) = struct
     let head = E.get t.head and tail = E.get t.tail in
     if tail = head then None
     else begin
-      let slot = t.buf.(head mod Array.length t.buf) in
+      let slot = slot_at t head in
       let v = E.get slot in
       E.set slot None;
       E.set t.head (head + 1);

@@ -11,6 +11,12 @@ type 'a cell = 'a Memory.cell
 
 let cell = Memory.cell
 
+type 'a cells = 'a Memory.cells
+
+let cells = Memory.cells
+let cells_get = Memory.cells_get
+let cells_length = Memory.cells_length
+
 let get c =
   let t = Scheduler.the_sched () in
   t.op_reads <- t.op_reads + 1;

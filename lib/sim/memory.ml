@@ -77,9 +77,7 @@ let uniform_config =
   { read_latency = 1; write_latency = 1; rmw_latency = 1;
     reads_serialize = false }
 
-let cell v =
-  let id = !next_loc_id in
-  incr next_loc_id;
+let fresh id v =
   {
     v;
     loc =
@@ -96,10 +94,65 @@ let cell v =
       };
   }
 
+let cell v =
+  let id = !next_loc_id in
+  incr next_loc_id;
+  fresh id v
+
 (* The allocation watermark.  Ids are process-global, so anything that
    wants run-stable location identities (the fault injector's hot-spot
    hashing) must work relative to this. *)
 let loc_count () = !next_loc_id
+
+(* A block of locations whose ids [base, base + length) are reserved
+   when it is created.  A cell's state is a function of its id and the
+   initial value until its first access, so building it on first touch
+   is indistinguishable from building it eagerly.  Slots are grouped in
+   chunks of 64; a chunk's array is allocated on the first touch of
+   any of its slots, and until then it is the shared empty array.  Its
+   untouched slots hold the block's [hole], a cell no access ever
+   sees. *)
+type 'a cells = {
+  base : int;
+  length : int;
+  hole : 'a cell;
+  chunks : 'a cell array array;
+}
+
+let chunk_bits = 6
+let chunk_mask = (1 lsl chunk_bits) - 1
+
+(* The location of every block's hole; -1 is no location's id. *)
+let hole_loc = (fresh (-1) ()).loc
+
+let cells n v =
+  if n < 0 then invalid_arg "Sim.Memory.cells: negative length";
+  let base = !next_loc_id in
+  next_loc_id := base + n;
+  {
+    base;
+    length = n;
+    hole = { v; loc = hole_loc };
+    chunks = Array.make ((n + chunk_mask) lsr chunk_bits) [||];
+  }
+
+let materialise cs i =
+  let c = fresh (cs.base + i) cs.hole.v in
+  let k = i lsr chunk_bits in
+  if Array.length cs.chunks.(k) = 0 then
+    cs.chunks.(k) <- Array.make (chunk_mask + 1) cs.hole;
+  cs.chunks.(k).(i land chunk_mask) <- c;
+  c
+
+let cells_get cs i =
+  if i < 0 || i >= cs.length then invalid_arg "index out of bounds";
+  let chunk = cs.chunks.(i lsr chunk_bits) in
+  if Array.length chunk = 0 then materialise cs i
+  else
+    let c = chunk.(i land chunk_mask) in
+    if c == cs.hole then materialise cs i else c
+
+let cells_length cs = cs.length
 
 (* ------------------------------------------------------------------ *)
 (* Analysis hooks                                                      *)

@@ -55,10 +55,25 @@ val cell : 'a -> 'a cell
 (** Allocate a fresh location (free of simulated cost). *)
 
 val loc_count : unit -> int
-(** The allocation watermark: locations ever allocated in this
-    process.  Ids grow monotonically across runs, so consumers wanting
-    run-stable identities (e.g. the fault injector's hot-spot hashing)
-    subtract a watermark taken at setup time. *)
+(** The allocation watermark: locations ever allocated (or reserved by
+    {!cells}) in this process.  Ids grow monotonically across runs, so
+    consumers wanting run-stable identities (e.g. the fault injector's
+    hot-spot hashing) subtract a watermark taken at setup time. *)
+
+type 'a cells
+(** A block of locations built lazily: [Engine.S.cells]. *)
+
+val cells : int -> 'a -> 'a cells
+(** [cells n v] reserves the next [n] location ids at once, advancing
+    {!loc_count} by [n], but builds no cell yet. *)
+
+val cells_get : 'a cells -> int -> 'a cell
+(** The [i]-th cell of the block, id [base + i], built with fresh
+    stamps on its first access: it is then indistinguishable from the
+    [i]-th cell of [Array.init n (fun _ -> cell v)] allocated at the
+    same watermark.  Raises [Invalid_argument] out of bounds. *)
+
+val cells_length : 'a cells -> int
 
 (** {1 Analysis hooks (etrees.analysis)} *)
 

@@ -47,15 +47,13 @@ type slot =
    controller picks which one commits next.  Each decision commits
    exactly one access, so the chosen pid sequence fully determines the
    interleaving — the substrate for the stateless model checker in
-   lib/check. *)
+   lib/check.  The controller is handed the runnable pids as a bitmask
+   and reads each one's access from its slot ([pending_loc],
+   [pending_kind]), so a decision allocates nothing. *)
 
 type access_kind = Acc_read | Acc_write | Acc_rmw
 
-type access = { acc_loc : Memory.loc; acc_kind : access_kind }
-
 type choice = Fire of int | Quit
-
-type controller = (int * access) list -> choice
 
 (* Fault injection (etrees.faults).  The injector is consulted at three
    points: before any processor event fires (stall/crash), when a
@@ -78,7 +76,9 @@ let no_injector =
     delay_jitter = (fun ~pid:_ ~now:_ ~base:_ -> 0);
   }
 
-type t = {
+type controller = t -> int -> choice
+
+and t = {
   nprocs : int;
   config : Memory.config;
   body : int -> unit;
@@ -93,8 +93,7 @@ type t = {
   begins : int array;
   finish : int array;
   seqs : int array;
-  pending : (int * access option) option array;
-  (* controller mode only: per-pid parked (time, access) *)
+  pending : int array; (* controller mode only: when the parked event is due *)
   mutable firing : int; (* pid whose key is the heap's root, or -1 *)
   mutable clock : int;
   mutable seq : int;
@@ -147,18 +146,24 @@ let mem_kind : type a. a Effect.t -> Etrace.Event.mem_kind = function
   | Set _ -> Etrace.Event.Write
   | _ -> Etrace.Event.Rmw
 
-(* What a controller sees of a parked operation: the access it will
-   commit, None for local steps. *)
-let access_of = function
-  | Idle | Start | Parked (_, Delay _) -> None
-  | Parked (_, eff) ->
-      let acc_kind =
-        match mem_kind eff with
-        | Etrace.Event.Read -> Acc_read
-        | Etrace.Event.Write -> Acc_write
-        | Etrace.Event.Rmw -> Acc_rmw
-      in
-      Some { acc_loc = loc_of eff; acc_kind }
+(* What a controller sees of a parked processor: the location and kind
+   of the access it will commit. *)
+let pending_loc t p =
+  match t.slots.(p) with
+  | Parked (_, eff) -> loc_of eff
+  | Idle | Start -> invalid_arg "Sim: no pending access"
+
+let pending_kind t p =
+  match t.slots.(p) with
+  | Parked (_, Get _) -> Acc_read
+  | Parked (_, Set _) -> Acc_write
+  | Parked (_, (Exchange _ | Cas _ | Faa _)) -> Acc_rmw
+  | Idle | Start | Parked _ -> invalid_arg "Sim: no pending access"
+
+(* A parked event a controller does not decide: a start or a delay. *)
+let is_local = function
+  | Start | Parked (_, Delay _) -> true
+  | Idle | Parked _ -> false
 
 (* Park [p]'s next event, due at [time]: into [pending] under a
    controller, otherwise into the heap, re-keying the root when [p] is
@@ -169,7 +174,7 @@ let park t p time op =
   t.slots.(p) <- op;
   t.seqs.(p) <- t.seq;
   (match t.controller with
-  | Some _ -> t.pending.(p) <- Some (time, access_of op)
+  | Some _ -> t.pending.(p) <- time
   | None when t.firing = p ->
       t.firing <- -1;
       Event_heap.replace_min t.heap ~time ~seq:t.seq p
@@ -390,6 +395,9 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
   if procs <= 0 then invalid_arg "Sim.run: procs must be positive";
   if Option.is_some injector && Option.is_some controller then
     invalid_arg "Sim.run: a controller cannot be combined with an injector";
+  (* A controller gets the runnable pids as an int bitmask. *)
+  if Option.is_some controller && procs > 62 then
+    invalid_arg "Sim.run: a controller schedules at most 62 processors";
   let base = Engine.Splitmix.of_int seed in
   let per_pid () = Array.make procs 0 in
   let t =
@@ -406,7 +414,7 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
       begins = per_pid ();
       finish = per_pid ();
       seqs = per_pid ();
-      pending = Array.make procs None;
+      pending = per_pid ();
       firing = -1;
       clock = 0;
       seq = 0;
@@ -430,14 +438,14 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
   done;
   let horizon = match abort_after with Some h -> h | None -> max_int in
   (* Controlled mode: the controller, not the clock, decides firing
-     order.  Local steps (access None) are not scheduling decisions and
-     fire eagerly in pid order; once every live processor is parked on
-     a shared-memory access, the controller picks the one that commits
+     order.  Local steps are not scheduling decisions and fire eagerly
+     in pid order; once every live processor is parked on a
+     shared-memory access, the controller picks the one that commits
      next.  [Quit] (or the horizon) unwinds every parked processor. *)
   let ctl_loop choose =
     let overran = ref false in
-    let fire_pending p time =
-      t.pending.(p) <- None;
+    let fire_pending p =
+      let time = t.pending.(p) in
       if time > horizon then begin
         overran := true;
         abort t p
@@ -451,11 +459,10 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
     let rec settle () =
       let progressed = ref false in
       for p = 0 to t.nprocs - 1 do
-        match t.pending.(p) with
-        | Some (time, None) when not !overran ->
-            progressed := true;
-            fire_pending p time
-        | _ -> ()
+        if (not !overran) && is_local t.slots.(p) then begin
+          progressed := true;
+          fire_pending p
+        end
       done;
       if !progressed then settle ()
     in
@@ -464,12 +471,10 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
          events, so iterate to a fixpoint. *)
       let any = ref false in
       for p = 0 to t.nprocs - 1 do
-        match t.pending.(p) with
-        | Some _ ->
-            t.pending.(p) <- None;
-            any := true;
-            abort t p
-        | None -> ()
+        if t.slots.(p) != Idle then begin
+          any := true;
+          abort t p
+        end
       done;
       if !any then drain ()
     in
@@ -477,26 +482,20 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
       settle ();
       if !overran then drain ()
       else begin
-        let runnable = ref [] in
-        for p = t.nprocs - 1 downto 0 do
-          match t.pending.(p) with
-          | Some (_, Some a) -> runnable := (p, a) :: !runnable
-          | Some (_, None) -> assert false
-          | None -> ()
+        (* After [settle], every parked processor awaits an access. *)
+        let runnable = ref 0 in
+        for p = 0 to t.nprocs - 1 do
+          if t.slots.(p) != Idle then runnable := !runnable lor (1 lsl p)
         done;
-        match !runnable with
-        | [] -> () (* every processor finished *)
-        | rs -> (
-            match choose rs with
-            | Quit -> drain ()
-            | Fire p ->
-                (match t.pending.(p) with
-                | Some (time, Some _) -> fire_pending p time
-                | _ ->
-                    invalid_arg
-                      "Sim controller: chose a processor with no pending \
-                       access");
-                step ())
+        if !runnable <> 0 then
+          match choose t !runnable with
+          | Quit -> drain ()
+          | Fire p ->
+              if p < 0 || p >= t.nprocs || !runnable land (1 lsl p) = 0 then
+                invalid_arg
+                  "Sim controller: chose a processor with no pending access";
+              fire_pending p;
+              step ()
       end
     in
     step ()

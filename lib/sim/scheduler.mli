@@ -44,30 +44,19 @@ type slot =
 
     A {!controller} takes over every scheduling decision, turning the
     simulator into the substrate for a stateless model checker: each
-    processor's pending event is parked in [pending] instead of the
-    time heap, local steps (proc starts, delays) fire eagerly in pid
-    order, and whenever every live processor is parked on a
-    shared-memory access the controller picks which one commits next.
-    Each decision commits exactly one access, so the chosen pid
-    sequence fully determines the interleaving — runs are replayable
-    from the pid sequence alone. *)
+    processor's pending event stays in its slot instead of the time
+    heap, local steps (proc starts, delays) fire eagerly in pid order,
+    and whenever every live processor is parked on a shared-memory
+    access the controller picks which one commits next.  Each decision
+    commits exactly one access, so the chosen pid sequence fully
+    determines the interleaving — runs are replayable from the pid
+    sequence alone. *)
 
 type access_kind = Acc_read | Acc_write | Acc_rmw
-
-type access = { acc_loc : Memory.loc; acc_kind : access_kind }
-(** The shared-memory access a parked processor will commit next.  The
-    location's epoch stamps (see {!Memory.loc}) let a controller detect
-    unchanged-location polling. *)
 
 type choice =
   | Fire of int  (** commit this processor's pending access *)
   | Quit         (** stop: unwind every parked processor with {!Aborted} *)
-
-type controller = (int * access) list -> choice
-(** Called with the runnable processors (increasing pid order), each
-    with its pending access; never called with an empty list.  Must be
-    a pure host-level function: it runs outside any processor and may
-    not perform engine effects. *)
 
 (** {1 Fault injection (etrees.faults)}
 
@@ -96,7 +85,15 @@ type injector = {
 val no_injector : injector
 (** The identity injector: proceeds, never scales, never jitters. *)
 
-type t = {
+type controller = t -> int -> choice
+(** [choose t runnable] is called with the running scheduler and the
+    runnable processors as a bitmask (bit [p] set iff processor [p] is
+    parked on a shared-memory access), never [0]; {!pending_loc} and
+    {!pending_kind} read each one's access.  Must be a pure host-level
+    function: it runs outside any processor and may not perform engine
+    effects.  The bitmask limits controlled runs to 62 processors. *)
+
+and t = {
   nprocs : int;
   config : Memory.config;
   body : int -> unit;
@@ -109,8 +106,8 @@ type t = {
   begins : int array;  (** per-pid: when its service began *)
   finish : int array;  (** per-pid: when it completes (a delay: as planned) *)
   seqs : int array;  (** per-pid: its seq, the commit's epoch stamp *)
-  pending : (int * access option) option array;
-      (** controller mode only: per-pid parked (time, access) *)
+  pending : int array;
+      (** controller mode only: per-pid time the parked event is due *)
   mutable firing : int;
       (** the pid being fired while its key is the heap's root, or -1 *)
   mutable clock : int;
@@ -146,6 +143,16 @@ type stats = {
 val the_sched : unit -> t
 (** The running scheduler; raises [Failure] outside a run. *)
 
+val pending_loc : t -> int -> Memory.loc
+(** The location processor [p]'s parked access will commit to.  Its
+    epoch stamps (see {!Memory.loc}) let a controller detect
+    unchanged-location polling.  Raises [Invalid_argument] if [p] is
+    not parked on an access. *)
+
+val pending_kind : t -> int -> access_kind
+(** The kind of processor [p]'s parked access; raises like
+    {!pending_loc}. *)
+
 val park : t -> int -> int -> slot -> unit
 (** [park t p time op] makes [op] processor [p]'s pending event, due at
     [time].  Raises [Invalid_argument] if [p] already has one. *)
@@ -168,4 +175,5 @@ val run :
   (int -> unit) ->
   stats
 (** See [Sim.run].  [controller] and [injector] are mutually
-    exclusive. *)
+    exclusive, and a [controller] accepts at most 62 processors;
+    either misuse raises [Invalid_argument]. *)

@@ -64,6 +64,24 @@ let test_raw_write_seen_at_commit () =
   check_bool "raw write detected at commit" true
     (List.mem Rd.Raw_write (kinds report))
 
+let test_raw_write_to_lazy_slot () =
+  (* A slot of a [cells] block is built on its first touch; a raw write
+     to it afterwards is caught like one to an eager cell. *)
+  let (), report =
+    Rd.run (fun () ->
+        let ring = E.cells 4096 0 in
+        ignore
+          (run ~procs:2 (fun p ->
+               let c = E.cells_get ring 1000 in
+               for _ = 1 to 10 do
+                 if p = 0 then c.M.v <- c.M.v + 1 (* raw: no E.set *)
+                 else ignore (E.get c);
+                 E.delay 3
+               done)))
+  in
+  check_bool "raw write to a lazy slot detected" true
+    (List.mem Rd.Raw_write (kinds report))
+
 let test_raw_write_dedup_per_location () =
   (* Many raw writes to one location produce one deduplicated race. *)
   let (), report =
@@ -402,6 +420,8 @@ let () =
             test_raw_write_seen_by_readers;
           Alcotest.test_case "raw write seen at commit" `Quick
             test_raw_write_seen_at_commit;
+          Alcotest.test_case "raw write to a lazy slot" `Quick
+            test_raw_write_to_lazy_slot;
           Alcotest.test_case "raw writes dedup per location" `Quick
             test_raw_write_dedup_per_location;
           Alcotest.test_case "strict-read promotion" `Quick

@@ -70,6 +70,39 @@ let test_local_pool_overflow () =
   in
   check_bool "overflow detected" true !overflowed
 
+let test_local_pool_full_ring_wraps () =
+  (* Fill a size-4 ring completely on every lap, so each slot is reused
+     across wraps in both disciplines; the fifth element overflows with
+     the documented message. *)
+  List.iter
+    (fun discipline ->
+      let p = Local.create ~discipline ~size:4 ~lock_capacity:1 () in
+      let _ =
+        run ~procs:1 (fun _ ->
+            for lap = 0 to 4 do
+              let vals = List.init 4 (fun i -> (10 * lap) + i) in
+              List.iter (Local.enqueue p) vals;
+              check_int "full" 4 (Local.size p);
+              (match Local.enqueue p (-1) with
+              | () -> Alcotest.fail "a fifth element fit in a size-4 ring"
+              | exception Failure msg ->
+                  Alcotest.(check string)
+                    "overflow message" "Local_pool: overflow (increase ~size)"
+                    msg);
+              let expected =
+                match discipline with `Fifo -> vals | `Lifo -> List.rev vals
+              in
+              List.iter
+                (fun v ->
+                  check_int "ring order across wraps" v
+                    (Option.get (Local.try_dequeue p)))
+                expected
+            done;
+            Alcotest.(check (option int)) "drained" None (Local.try_dequeue p))
+      in
+      ())
+    [ `Fifo; `Lifo ]
+
 let test_local_pool_concurrent () =
   let p = Local.create ~size:512 ~lock_capacity:8 () in
   let got = ref [] in
@@ -518,6 +551,8 @@ let () =
           Alcotest.test_case "fifo vs lifo" `Quick test_local_pool_fifo_lifo;
           Alcotest.test_case "ring wraparound" `Quick test_local_pool_wraparound;
           Alcotest.test_case "overflow" `Quick test_local_pool_overflow;
+          Alcotest.test_case "full ring wraps" `Quick
+            test_local_pool_full_ring_wraps;
           Alcotest.test_case "concurrent transfer" `Quick
             test_local_pool_concurrent;
         ] );

@@ -37,7 +37,16 @@ let test_cells () =
   check_bool "cas hit" true (E.compare_and_set c 3 4);
   check_bool "cas miss" false (E.compare_and_set c 3 5);
   check_int "faa" 4 (E.fetch_and_add c 10);
-  check_int "after faa" 14 (E.get c)
+  check_int "after faa" 14 (E.get c);
+  let cs = E.cells 3 7 in
+  check_int "cells_length" 3 (E.cells_length cs);
+  check_bool "cells_get is stable" true (E.cells_get cs 1 == E.cells_get cs 1);
+  E.set (E.cells_get cs 1) 8;
+  check_int "slots are distinct locations" 7 (E.get (E.cells_get cs 0));
+  check_int "slot written" 8 (E.get (E.cells_get cs 1));
+  match E.cells_get cs 3 with
+  | _ -> Alcotest.fail "out-of-bounds slot"
+  | exception Invalid_argument _ -> ()
 
 let test_pids_distinct_and_recycled () =
   (* A barrier keeps all eight domains alive at once — otherwise, on a

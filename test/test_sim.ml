@@ -1,5 +1,6 @@
 (* Tests for the simulator substrate: event heap ordering, PRNG
-   determinism, clock semantics, per-location serialization, abort. *)
+   determinism, clock semantics, per-location serialization, abort,
+   the controller contract and lazily materialised cell arrays. *)
 
 module E = Sim.Engine
 
@@ -471,6 +472,126 @@ let test_second_park_rejected () =
   in
   check_bool "second pending event rejected" true !rejected
 
+(* ------------------------------------------------------------------ *)
+(* Lazily materialised cell arrays                                     *)
+(* ------------------------------------------------------------------ *)
+
+module M = Sim.Memory
+
+let test_cells_reserve_ids () =
+  let w = M.loc_count () in
+  let c = E.cells 100 'x' in
+  check_int "the block reserves its ids up front" (w + 100) (M.loc_count ());
+  check_int "length" 100 (E.cells_length c);
+  let c7 = E.cells_get c 7 in
+  check_int "slot 7 has id base + 7" (w + 7) c7.M.loc.M.id;
+  check_bool "the same cell on every call" true (E.cells_get c 7 == c7);
+  check_int "slot 99 has id base + 99" (w + 99) (E.cells_get c 99).M.loc.M.id;
+  check_bool "slot 0 is another cell" true (E.cells_get c 0 != c7);
+  check_int "touching slots allocates no ids" (w + 100) (M.loc_count ());
+  List.iter
+    (fun i ->
+      match E.cells_get c i with
+      | _ -> Alcotest.failf "slot %d is out of bounds" i
+      | exception Invalid_argument _ -> ())
+    [ -1; 100; 127; 128 ]
+
+(* A lazily built slot is indistinguishable from the eager cell built
+   at the same offset from the watermark. *)
+let test_cells_match_eager () =
+  let n = 130 and v = Some 5 in
+  let w_eager = M.loc_count () in
+  let eager = Array.init n (fun _ -> M.cell v) in
+  let w_lazy = M.loc_count () in
+  let lazy_ = E.cells n v in
+  List.iter
+    (fun i ->
+      let e = eager.(i) and l = E.cells_get lazy_ i in
+      let stamps (c : _ M.cell) =
+        let x = c.M.loc in
+        [ x.M.busy_until; x.M.epoch_time; x.M.epoch_pid; x.M.epoch_seq;
+          x.M.pend_begins; x.M.pend_finish; x.M.pend_pid ]
+      in
+      check_int "same offset from the watermark" (e.M.loc.M.id - w_eager)
+        (l.M.loc.M.id - w_lazy);
+      Alcotest.(check (list int)) "same initial stamps" (stamps e) (stamps l);
+      check_bool "same initial value" true (l.M.v == v);
+      check_bool "shadow-clean" true (M.shadow_clean l))
+    [ 0; 1; 63; 64; 129 ]
+
+let test_cells_untouched_cost () =
+  let n = 1_000_000 in
+  let before = Gc.allocated_bytes () in
+  let c = E.cells n 0 in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  check_bool
+    (Printf.sprintf "an untouched 1M-slot block costs %.0f words, under one per slot"
+       words)
+    true
+    (words < float_of_int n);
+  check_int "its last slot is still reachable" (n - 1)
+    ((E.cells_get c (n - 1)).M.loc.M.id - (E.cells_get c 0).M.loc.M.id)
+
+let test_cells_under_sim () =
+  let c = E.cells 8 0 in
+  let stats =
+    Sim.run ~procs:4 (fun p ->
+        for _ = 1 to 3 do
+          ignore (E.fetch_and_add (E.cells_get c (2 * p)) 1)
+        done)
+  in
+  check_int "every increment landed" 12
+    (List.fold_left (fun acc i -> acc + (E.cells_get c i).M.v) 0
+       (List.init 8 Fun.id));
+  check_int "untouched slots kept their value" 0 (E.cells_get c 7).M.v;
+  check_int "all rmws counted" 12 stats.Sim.rmws
+
+(* ------------------------------------------------------------------ *)
+(* The controller contract                                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_controller_reads_slots () =
+  let a = E.cell 0 and b = E.cell 0 in
+  let seen = ref [] in
+  let controller t runnable =
+    seen := runnable :: !seen;
+    if runnable = 0b11 then begin
+      check_bool "p0 writes a" true (Sim.Scheduler.pending_loc t 0 == a.M.loc);
+      check_bool "p1 reads b" true (Sim.Scheduler.pending_loc t 1 == b.M.loc);
+      check_bool "p0's kind" true
+        (Sim.Scheduler.pending_kind t 0 = Sim.Scheduler.Acc_write);
+      check_bool "p1's kind" true
+        (Sim.Scheduler.pending_kind t 1 = Sim.Scheduler.Acc_read)
+    end;
+    (* The highest runnable pid, to show the choice is the controller's. *)
+    Sim.Scheduler.Fire (if runnable land 0b10 <> 0 then 1 else 0)
+  in
+  let _ =
+    Sim.run ~controller ~procs:2 (fun p ->
+        E.delay 5;
+        if p = 0 then E.set a 1 else ignore (E.get b))
+  in
+  Alcotest.(check (list int)) "runnable bitmasks, in decision order"
+    [ 0b11; 0b01 ] (List.rev !seen)
+
+let test_controller_proc_limit () =
+  let fire_lowest _ runnable =
+    let rec low p = if runnable land (1 lsl p) <> 0 then p else low (p + 1) in
+    Sim.Scheduler.Fire (low 0)
+  in
+  let c = E.cell 0 in
+  let stats =
+    Sim.run ~controller:fire_lowest ~procs:62 (fun _ ->
+        ignore (E.fetch_and_add c 1))
+  in
+  check_int "62 controlled processors run" 62 stats.Sim.rmws;
+  match
+    Sim.run ~controller:fire_lowest ~procs:63 (fun _ ->
+        ignore (E.fetch_and_add c 1))
+  with
+  | _ -> Alcotest.fail "a 63-processor controlled run was accepted"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "sim"
     [
@@ -523,5 +644,17 @@ let () =
             test_abort_unwinds_in_key_order;
           Alcotest.test_case "second park rejected" `Quick
             test_second_park_rejected;
+          Alcotest.test_case "controller reads the slots" `Quick
+            test_controller_reads_slots;
+          Alcotest.test_case "controller processor limit" `Quick
+            test_controller_proc_limit;
+        ] );
+      ( "cells",
+        [
+          Alcotest.test_case "reserved ids" `Quick test_cells_reserve_ids;
+          Alcotest.test_case "match eager cells" `Quick test_cells_match_eager;
+          Alcotest.test_case "untouched block cost" `Quick
+            test_cells_untouched_cost;
+          Alcotest.test_case "under simulation" `Quick test_cells_under_sim;
         ] );
     ]

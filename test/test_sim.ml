@@ -532,20 +532,6 @@ let test_cells_untouched_cost () =
   check_int "its last slot is still reachable" (n - 1)
     ((E.cells_get c (n - 1)).M.loc.M.id - (E.cells_get c 0).M.loc.M.id)
 
-let test_cells_under_sim () =
-  let c = E.cells 8 0 in
-  let stats =
-    Sim.run ~procs:4 (fun p ->
-        for _ = 1 to 3 do
-          ignore (E.fetch_and_add (E.cells_get c (2 * p)) 1)
-        done)
-  in
-  check_int "every increment landed" 12
-    (List.fold_left (fun acc i -> acc + (E.cells_get c i).M.v) 0
-       (List.init 8 Fun.id));
-  check_int "untouched slots kept their value" 0 (E.cells_get c 7).M.v;
-  check_int "all rmws counted" 12 stats.Sim.rmws
-
 (* ------------------------------------------------------------------ *)
 (* The controller contract                                             *)
 (* ------------------------------------------------------------------ *)
@@ -655,6 +641,5 @@ let () =
           Alcotest.test_case "match eager cells" `Quick test_cells_match_eager;
           Alcotest.test_case "untouched block cost" `Quick
             test_cells_untouched_cost;
-          Alcotest.test_case "under simulation" `Quick test_cells_under_sim;
         ] );
     ]

@@ -456,6 +456,44 @@ let test_abort_unwinds_in_key_order () =
   Alcotest.(check (list int)) "unwound in key order" expected
     (List.rev !unwound)
 
+(* Events parked during the unwinding keep the order too.  The first
+   processor to unwind catches [Aborted], performs one more read and
+   re-raises; that read is due before every other event the horizon
+   found pending (which are all past it), so it unwinds second. *)
+let test_abort_unwinds_late_park_in_key_order () =
+  let delays = [| 70; 50; 90; 55; 60 |] in
+  let c = E.cell 0 and read = Sim.Memory.default_config.read_latency in
+  let parks = ref [] and unwound = ref [] and reread = ref None in
+  let _ =
+    Sim.run ~procs:(Array.length delays) ~abort_after:100 (fun p ->
+        try
+          while true do
+            parks := (E.now () + delays.(p), List.length !parks, p) :: !parks;
+            E.delay delays.(p)
+          done
+        with Sim.Aborted as e ->
+          unwound := p :: !unwound;
+          if !reread = None then begin
+            reread := Some (E.now () + read, List.length !parks, p);
+            try ignore (E.get c) with Sim.Aborted -> unwound := p :: !unwound
+          end;
+          raise e)
+  in
+  let pending =
+    List.init (Array.length delays) (fun p ->
+        List.find (fun (_, _, q) -> q = p) !parks)
+    |> List.sort compare
+  in
+  let first = List.hd pending and rest = List.tl pending in
+  let reread = Option.get !reread in
+  let due (time, _, _) = time in
+  check_bool "the re-read is due before the other pending events" true
+    (List.for_all (fun e -> due reread < due e) rest);
+  let pid (_, _, p) = p in
+  Alcotest.(check (list int)) "unwound in key order"
+    (List.map pid (first :: reread :: rest))
+    (List.rev !unwound)
+
 let test_second_park_rejected () =
   let rejected = ref false in
   let _ =
@@ -628,6 +666,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_step_loop_model;
           Alcotest.test_case "abort unwinds in key order" `Quick
             test_abort_unwinds_in_key_order;
+          Alcotest.test_case "abort unwinds late parks in key order" `Quick
+            test_abort_unwinds_late_park_in_key_order;
           Alcotest.test_case "second park rejected" `Quick
             test_second_park_rejected;
           Alcotest.test_case "controller reads the slots" `Quick

@@ -24,9 +24,10 @@ let usage =
 
 (* The simulator core's hot roots: the scheduler step loop, the engine
    dispatch ops (and [cells_get], which structures call on every access
-   to a ring slot), the event heap (including the root accessors the
-   step loop calls per event), and the memory stamps the scheduler calls
-   per serialized operation.  Override with --roots. *)
+   to a ring slot), the event wheel's per-event functions, the event
+   heap behind it (including the root accessors its refill calls), and
+   the memory stamps the scheduler calls per serialized operation.
+   Override with --roots. *)
 let default_roots =
   [
     "Scheduler.run";
@@ -41,12 +42,14 @@ let default_roots =
     "Engine_impl.random_bernoulli";
     "Engine_impl.now";
     "Engine_impl.cells_get";
+    "Event_wheel.is_empty";
+    "Event_wheel.push";
+    "Event_wheel.min_time";
+    "Event_wheel.pop_min";
     "Event_heap.push";
     "Event_heap.pop";
     "Event_heap.min_time";
-    "Event_heap.min_payload";
     "Event_heap.pop_min";
-    "Event_heap.replace_min";
     "Memory.issue_stamp";
     "Memory.commit_stamp";
     "Memory.shadow_clean";

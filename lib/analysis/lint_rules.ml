@@ -85,7 +85,7 @@ let array_mutators =
    on [Engine.Native] — and the model checker's controlled scheduler
    never sees its accesses. *)
 let sim_internal_modules =
-  [ "Sim"; "Memory"; "Scheduler"; "Engine_impl"; "Event_heap" ]
+  [ "Sim"; "Memory"; "Scheduler"; "Engine_impl"; "Event_heap"; "Event_wheel" ]
 
 (* Host nondeterminism (rule [nondet]): wall-clock, OS randomness and
    unseeded hashing make a run a function of the host instead of the

@@ -13,8 +13,8 @@ type rule =
   | Atomic_use    (** direct [Atomic.*] *)
   | Mutable_field (** [mutable] field declaration *)
   | Sim_bypass
-      (** naming [Sim]/[Memory]/[Scheduler]/[Engine_impl]/[Event_heap]
-          from engine-parametric code: the simulator must only be
+      (** naming [Sim]/[Memory]/[Scheduler]/[Engine_impl]/[Event_heap]/
+          [Event_wheel] from engine-parametric code: the simulator must only be
           reached through the [Engine.S] functor parameter *)
   | Nondet
       (** [Sys.time]/[Unix.gettimeofday]/[Random.*]/[Hashtbl.hash]:

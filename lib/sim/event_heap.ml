@@ -9,11 +9,10 @@
    allocates nothing per event: the keys live in two flat [int] arrays
    beside the payloads (no entry record), and the sift loops are
    top-level functions that move a hole instead of swapping entries
-   (the moving entry rides in their arguments).  The scheduler's
-   step loop reads the root with [min_time]/[min_payload] and re-keys
-   it in place with [replace_min]; the option-and-tuple [pop] is kept
-   for drain and tests.  The @allocheck census certifies this — see
-   lib/analysis/alloc_budget.txt. *)
+   (the moving entry rides in their arguments).  The event wheel's
+   refill reads the root with [min_time] and takes it with [pop_min];
+   the option-and-tuple [pop] is kept for drain and tests.  The
+   @allocheck census certifies this — see lib/analysis/alloc_budget.txt. *)
 
 type 'a t = {
   mutable time : int array;
@@ -85,14 +84,6 @@ let push t ~time ~seq x =
 let min_time t =
   if t.n = 0 then invalid_arg "Event_heap.min_time: empty heap";
   t.time.(0)
-
-let min_payload t =
-  if t.n = 0 then invalid_arg "Event_heap.min_payload: empty heap";
-  t.payload.(0)
-
-let replace_min t ~time ~seq x =
-  if t.n = 0 then invalid_arg "Event_heap.replace_min: empty heap";
-  sift_down t.time t.seq t.payload t.n 0 time seq x
 
 let pop_min t =
   if t.n = 0 then invalid_arg "Event_heap.pop_min: empty heap";

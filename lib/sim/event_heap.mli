@@ -19,18 +19,9 @@ val pop : 'a t -> (int * int * 'a) option
 
 val min_time : 'a t -> int
 (** The least entry's [time], without removing it.  No allocation; the
-    scheduler's step loop pairs it with {!min_payload} instead of paying
+    event wheel's refill pairs it with {!pop_min} instead of paying
     {!pop}'s option-and-tuple per event.  Raises [Invalid_argument] on
     an empty heap. *)
-
-val min_payload : 'a t -> 'a
-(** The least entry's payload, without removing it.  Raises
-    [Invalid_argument] on an empty heap. *)
-
-val replace_min : 'a t -> time:int -> seq:int -> 'a -> unit
-(** [replace_min t ~time ~seq x] replaces the least entry: the same heap
-    as {!pop_min} followed by {!push}, in one sift.  Raises
-    [Invalid_argument] on an empty heap. *)
 
 val pop_min : 'a t -> 'a
 (** Remove the least entry and return its payload alone (no

@@ -12,10 +12,15 @@
    A processor has at most one pending event, so an event is not an
    object: the parked operation (the continuation and the effect it
    performed) sits in the processor's slot, its trace-only timestamps in
-   per-pid int arrays, and the heap holds the (time, seq) key with the
-   pid as payload.  The key of the processor being fired stays at the
-   heap's root while it runs; when it parks again the root is re-keyed
-   in place, one sift instead of a pop and a push.
+   per-pid int arrays, and the queue ({!Event_wheel}) holds the pid
+   under its (time, seq) key.  The queue is a timing wheel of one-cycle
+   buckets with a binary heap as its overflow tier for events due 1,024
+   or more cycles ahead, so parking and firing cost O(1) whatever the
+   number of processors.  Every park takes a fresh seq, which is what
+   lets the wheel's FIFO buckets keep exact (time, seq) order; see
+   event_wheel.ml for the argument.  The step loop takes the fired
+   processor's event off the queue before running it, and its next
+   [park] appends a new one.
 
    An operation's side effect executes when its event fires ([commit]),
    not when it is issued: operations therefore linearize in
@@ -82,7 +87,7 @@ and t = {
   nprocs : int;
   config : Memory.config;
   body : int -> unit;
-  heap : int Event_heap.t;
+  queue : Event_wheel.t; (* controlled runs share Event_wheel.none *)
   rngs : Engine.Splitmix.t array;
   injector : injector option;
   controller : controller option;
@@ -94,7 +99,6 @@ and t = {
   finish : int array;
   seqs : int array;
   pending : int array; (* controller mode only: when the parked event is due *)
-  mutable firing : int; (* pid whose key is the heap's root, or -1 *)
   mutable clock : int;
   mutable seq : int;
   mutable live : int;
@@ -166,8 +170,7 @@ let is_local = function
   | Idle | Parked _ -> false
 
 (* Park [p]'s next event, due at [time]: into [pending] under a
-   controller, otherwise into the heap, re-keying the root when [p] is
-   the processor being fired. *)
+   controller, otherwise into the queue. *)
 let park t p time op =
   if t.slots.(p) != Idle then
     invalid_arg "Sim.Scheduler.park: the processor already has a pending event";
@@ -175,10 +178,7 @@ let park t p time op =
   t.seqs.(p) <- t.seq;
   (match t.controller with
   | Some _ -> t.pending.(p) <- time
-  | None when t.firing = p ->
-      t.firing <- -1;
-      Event_heap.replace_min t.heap ~time ~seq:t.seq p
-  | None -> Event_heap.push t.heap ~time ~seq:t.seq p);
+  | None -> Event_wheel.push t.queue ~time ~seq:t.seq p);
   t.seq <- t.seq + 1
 
 (* [p] performed [eff] now: charge it — a serialized access queues
@@ -360,18 +360,11 @@ let abort t p =
   | Start -> t.live <- t.live - 1
   | Idle -> ()
 
-(* Fire the heap's root, [p]'s event at [time].  Its key stays at the
-   root while [p] runs, for [park] to re-key; if [p] finished instead
-   of parking, the key is popped afterwards. *)
-let fire_root t time p =
+(* Fire [p]'s event, due at [time] and already taken off the queue. *)
+let fire_at t time p =
   t.clock <- time;
   t.events_fired <- t.events_fired + 1;
-  t.firing <- p;
-  fire t p;
-  if t.firing >= 0 then begin
-    t.firing <- -1;
-    ignore (Event_heap.pop_min t.heap)
-  end
+  fire t p
 
 (* Process-cumulative counters across every completed [run] — the
    deterministic odometer the benchmark meta probe (Report.Meta) reads
@@ -405,7 +398,10 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
       nprocs = procs;
       config;
       body;
-      heap = Event_heap.create ();
+      queue =
+        (match controller with
+        | Some _ -> Event_wheel.none
+        | None -> Event_wheel.create ~procs);
       rngs = Array.init procs (fun i -> Engine.Splitmix.split base ~index:i);
       injector;
       controller;
@@ -415,7 +411,6 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
       finish = per_pid ();
       seqs = per_pid ();
       pending = per_pid ();
-      firing = -1;
       clock = 0;
       seq = 0;
       live = procs;
@@ -432,7 +427,10 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
   in
   let prev = !active in
   active := Some t;
-  Fun.protect ~finally:(fun () -> active := prev) @@ fun () ->
+  Fun.protect ~finally:(fun () ->
+      Event_wheel.release t.queue;
+      active := prev)
+  @@ fun () ->
   for p = 0 to procs - 1 do
     park t p 0 Start
   done;
@@ -500,36 +498,32 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
     in
     step ()
   in
-  (* The step loop reads the root with [min_time]/[min_payload] and
-     lets [park] re-key it: no option, no tuple, no entry record, zero
-     heap allocation per event (@allocheck). *)
+  (* The step loop takes each event off the queue before firing it: no
+     option, no tuple, no entry record, zero heap allocation per event
+     (@allocheck). *)
+  let q = t.queue in
   let rec loop () =
-    if not (Event_heap.is_empty t.heap) then begin
-      let time = Event_heap.min_time t.heap in
-      let p = Event_heap.min_payload t.heap in
-      if time > horizon then begin
-        ignore (Event_heap.pop_min t.heap);
-        abort t p;
-        Event_heap.drain t.heap (fun _ _ p -> abort t p)
-      end
+    if not (Event_wheel.is_empty q) then begin
+      let time = Event_wheel.min_time q in
+      if time > horizon then Event_wheel.drain q (fun p -> abort t p)
       else begin
+        let p = Event_wheel.pop_min q in
         (match t.injector with
-        | None -> fire_root t time p
+        | None -> fire_at t time p
         | Some inj -> (
             match inj.on_event ~pid:p ~time with
-            | Fault_proceed -> fire_root t time p
+            | Fault_proceed -> fire_at t time p
             | Fault_defer until ->
                 t.fault_defers <- t.fault_defers + 1;
                 let until = if until <= time then time + 1 else until in
                 if Etrace.on Etrace.lv_ops then
                   Etrace.emit (Etrace.Event.Fault_stall { pid = p; time; until });
-                Event_heap.replace_min t.heap ~time:until ~seq:t.seq p;
+                Event_wheel.push q ~time:until ~seq:t.seq p;
                 t.seq <- t.seq + 1
             | Fault_drop ->
                 (* Crash-stop: the processor's sole pending event dies and
                    with it the processor; the continuation is dropped
                    unresumed, so no cleanup handlers run. *)
-                ignore (Event_heap.pop_min t.heap);
                 t.slots.(p) <- Idle;
                 t.clock <- time;
                 t.live <- t.live - 1;

@@ -9,10 +9,16 @@
     operations linearize in completion-time order.
 
     A processor has at most one pending event.  Its parked operation
-    sits in a per-pid {!slot}, and the event heap holds only the
-    (time, seq) key with the pid as payload.  The processor being fired
-    keeps its key at the heap's root, and its next {!park} re-keys the
-    root in place instead of a pop and a push.
+    sits in a per-pid {!slot}, and the queue ({!Event_wheel}) holds the
+    pid under its (time, seq) key: a timing wheel of 1,024 one-cycle
+    buckets, each a FIFO of pids, with an {!Event_heap} as the overflow
+    tier for events due further ahead.  Every {!park} takes a fresh
+    seq, so a bucket's FIFO order is its seq order; overflow events
+    move into their bucket, in heap order, as soon as the wheel's
+    window reaches them and before anything fires there, so they
+    precede every later park at their time.  The step loop takes the
+    fired processor's event off the queue, and its next {!park}
+    appends.
 
     This module is the simulator's engine room; user code should go
     through [Sim.run] and [Sim.Engine]. *)
@@ -44,8 +50,8 @@ type slot =
 
     A {!controller} takes over every scheduling decision, turning the
     simulator into the substrate for a stateless model checker: each
-    processor's pending event stays in its slot instead of the time
-    heap, local steps (proc starts, delays) fire eagerly in pid order,
+    processor's pending event stays in its slot instead of the event
+    queue, local steps (proc starts, delays) fire eagerly in pid order,
     and whenever every live processor is parked on a shared-memory
     access the controller picks which one commits next.  Each decision
     commits exactly one access, so the chosen pid sequence fully
@@ -97,7 +103,8 @@ and t = {
   nprocs : int;
   config : Memory.config;
   body : int -> unit;
-  heap : int Event_heap.t;  (** (time, seq) keys, pids as payloads *)
+  queue : Event_wheel.t;
+      (** pids by (time, seq); controlled runs share {!Event_wheel.none} *)
   rngs : Engine.Splitmix.t array;
   injector : injector option;
   controller : controller option;
@@ -108,8 +115,6 @@ and t = {
   seqs : int array;  (** per-pid: its seq, the commit's epoch stamp *)
   pending : int array;
       (** controller mode only: per-pid time the parked event is due *)
-  mutable firing : int;
-      (** the pid being fired while its key is the heap's root, or -1 *)
   mutable clock : int;
   mutable seq : int;
   mutable live : int;

@@ -23,6 +23,7 @@
 
 module Memory = Memory
 module Event_heap = Event_heap
+module Event_wheel = Event_wheel
 module Scheduler = Scheduler
 
 module Engine : Engine.S with type 'a cell = 'a Memory.cell = Engine_impl

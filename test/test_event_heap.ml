@@ -1,12 +1,12 @@
-(* Direct property tests for Sim.Event_heap — the per-event hot-path
-   structure the @allocheck census certifies as zero-alloc.  The
-   properties pin the behavioral contract that the allocation-driven
-   rewrites (flat key arrays, bottom-up sifts, min_time/pop_min and the
-   fused replace_min) must preserve: exact (time, seq) ordering,
+(* Direct property tests for Sim.Event_heap — the event wheel's
+   overflow tier, which the @allocheck census certifies as zero-alloc.
+   The properties pin the behavioral contract that the
+   allocation-driven rewrites (flat key arrays, bottom-up sifts,
+   min_time/pop_min) must preserve: exact (time, seq) ordering,
    duplicate-key insertion-order tie-break, and agreement between the
-   allocating [pop], the zero-alloc [min_time]/[pop_min] pair and
-   [replace_min], each checked against a sorted-list model or against
-   each other under interleaved pushes and pops. *)
+   allocating [pop] and the zero-alloc [min_time]/[pop_min] pair, each
+   checked against a sorted-list model or against each other under
+   interleaved pushes and pops. *)
 
 module H = Sim.Event_heap
 
@@ -134,38 +134,6 @@ let prop_pop_min_equiv =
         script;
       !ok && H.length h1 = H.length h2)
 
-(* The scheduler's fused step: re-keying the root with [replace_min] must
-   leave the same heap, as observed through every later pop, as
-   [pop_min] followed by [push].  A script entry [(true, t)] replaces the
-   root (when there is one) with time [t]; [(false, t)] pushes. *)
-let prop_replace_min_equiv =
-  QCheck.Test.make ~name:"replace_min agrees with pop_min then push"
-    ~count:300
-    QCheck.(list (pair bool (int_bound 50)))
-    (fun script ->
-      let h1 = H.create () and h2 = H.create () in
-      let ok = ref true in
-      List.iteri
-        (fun seq (replace, time) ->
-          if replace && not (H.is_empty h1) then begin
-            let p1 = H.min_payload h1 in
-            H.replace_min h1 ~time ~seq seq;
-            let p2 = H.pop_min h2 in
-            H.push h2 ~time ~seq seq;
-            if p1 <> p2 then ok := false
-          end
-          else begin
-            H.push h1 ~time ~seq seq;
-            H.push h2 ~time ~seq seq
-          end;
-          if H.min_time h1 <> H.min_time h2 || H.min_payload h1 <> H.min_payload h2
-          then ok := false)
-        script;
-      let rec drain h acc =
-        match H.pop h with None -> List.rev acc | Some e -> drain h (e :: acc)
-      in
-      !ok && drain h1 [] = drain h2 [])
-
 (* ------------------------------------------------------------------ *)
 (* Unit edges                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -214,7 +182,6 @@ let () =
           qcheck prop_duplicate_keys;
           qcheck prop_interleaved_model;
           qcheck prop_pop_min_equiv;
-          qcheck prop_replace_min_equiv;
         ] );
       ( "edges",
         [

@@ -308,6 +308,20 @@ let test_exception_propagates () =
              E.delay 10;
              if p = 1 then raise Exit)))
 
+(* A run that raises leaves events queued; the next run must not see
+   them. *)
+let test_run_after_exception () =
+  (match
+     Sim.run ~procs:3 (fun p ->
+         if p = 0 then raise Exit;
+         E.delay 50)
+   with
+  | _ -> Alcotest.fail "the run did not raise"
+  | exception Exit -> ());
+  let stats = Sim.run ~procs:1 (fun _ -> E.delay 5) in
+  check_int "next run's clock" 5 stats.end_clock;
+  check_int "next run's events" 2 stats.events_fired
+
 let test_custom_config () =
   (* The cost model is configurable per run. *)
   let cfg = Sim.Memory.uniform_config in
@@ -656,6 +670,8 @@ let () =
             test_outside_run_raises;
           Alcotest.test_case "rng streams differ" `Quick
             test_rng_streams_differ;
+          Alcotest.test_case "run after an exception" `Quick
+            test_run_after_exception;
           Alcotest.test_case "custom memory config" `Quick test_custom_config;
           Alcotest.test_case "proc exceptions propagate" `Quick
             test_exception_propagates;

@@ -14,8 +14,8 @@ type rule =
   | Mutable_field (** [mutable] field declaration *)
   | Sim_bypass
       (** naming [Sim]/[Memory]/[Scheduler]/[Engine_impl]/[Event_heap]/
-          [Event_wheel] from engine-parametric code: the simulator must only be
-          reached through the [Engine.S] functor parameter *)
+          [Event_wheel] from engine-parametric code: the simulator must
+          only be reached through the [Engine.S] functor parameter *)
   | Nondet
       (** [Sys.time]/[Unix.gettimeofday]/[Random.*]/[Hashtbl.hash]:
           host nondeterminism outside the engine's seeded streams

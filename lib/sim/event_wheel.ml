@@ -126,7 +126,8 @@ let rec refill t =
 
 (* The first time at or after [c] whose bucket holds an entry; the
    wheel must hold one. *)
-let rec scan heads c = if heads.(c land mask) >= 0 then c else scan heads (c + 1)
+let rec scan heads c =
+  if heads.(c land mask) >= 0 then c else scan heads (c + 1)
 
 (* Move the cursor to the earliest entry's time, which it returns. *)
 let advance t =

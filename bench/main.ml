@@ -7,74 +7,40 @@
      dune exec bench/main.exe -- --quick all  -- reduced scale
      dune exec bench/main.exe -- --full all   -- the paper's 10^6 cycles
 
-   Experiments: fig7 fig8 table1 fig9 fig10 chaos service adapt ablate
-   extra native all
-   (see DESIGN.md §3 for the experiment index, EXPERIMENTS.md for
-   paper-vs-measured).  With [--json], experiments that support it also
-   write machine-readable BENCH_<experiment>.json point files.
+   Experiments are the entries of Workloads.Experiment.all (fig7 fig8
+   table1 fig9 fig10 chaos service adapt ablate extra), plus native;
+   [all] runs every one, [tracked] the set the @perf gate holds against
+   bench/db (see DESIGN.md §3 for the experiment index, EXPERIMENTS.md
+   for paper-vs-measured).  With [--json], experiments that support it
+   also write machine-readable BENCH_<experiment>.json point files.
 
    Tracing (docs/TRACING.md): [--trace] adds a traced fig7 run of the
    elimination tree at the largest processor count, printing its
    cycle-attribution table and embedding it in BENCH_fig7.json;
    [--trace-out FILE] additionally writes the run's Chrome trace-event
    JSON (rendered at [--trace-level], default events) for
-   ui.perfetto.dev. *)
+   ui.perfetto.dev.
+
+   Exit status: 0 success, 1 a verdict failed (conservation, fig7's
+   attribution books or trace validation, adapt's shape), 2 bad
+   input. *)
 
 module W = Workloads
 module R = W.Report
+module X = W.Experiment
 
-type scale = { horizon : int; counts : int list; rt_total : int }
-
-let default_scale =
-  {
-    horizon = 200_000;
-    counts = [ 2; 4; 8; 16; 32; 64; 128; 256 ];
-    rt_total = 2_560;
-  }
-
-let quick_scale =
-  { horizon = 50_000; counts = [ 4; 16; 64; 256 ]; rt_total = 640 }
-
-let full_scale = { default_scale with horizon = 1_000_000 }
-
-let progress fmt =
-  Printf.ksprintf
-    (fun s ->
-      prerr_string ("# " ^ s ^ "\n");
-      flush stderr)
-    fmt
-
-let method_name make = (make ~procs:2).W.Pool_obj.name
-let counter_name make = (make ~procs:2).W.Pool_obj.cname
-
-(* Workload runs below use the library default seed; recorded in each
-   meta block so DB rows are comparable. *)
+(* Workload runs use the library default seed; recorded in each meta
+   block so DB rows are comparable. *)
 let run_seed = 1
 
-(* Verdict failures (conservation FAILs, attribution books that don't
-   balance) collect here and turn the whole bench run's exit status
-   non-zero, so CI can't silently pass a broken quick bench. *)
-let failures : string list ref = ref []
-
-let record_failure fmt =
-  Printf.ksprintf
-    (fun s ->
-      Printf.eprintf "bench: FAIL %s\n%!" s;
-      failures := s :: !failures)
-    fmt
-
-(* --json: machine-readable BENCH_<experiment>.json next to the text
-   tables.  Every report carries a "meta" block from the [probe]
-   started when its experiment began — provenance, Gc cost and the
-   simulator's event/op odometer (docs/BENCHDB.md); the "# host" line
-   is rendered from the same record, so stdout and JSON cannot
-   disagree. *)
-let json_flag = ref false
-
-let emit_json ?(extra = []) ~experiment ~probe points =
+(* Every report carries a "meta" block from the probe started when its
+   experiment began — provenance, Gc cost and the simulator's event/op
+   odometer (docs/BENCHDB.md); the "# host" line is rendered from the
+   same record, so stderr and JSON cannot disagree. *)
+let emit_json ~json ~experiment ~probe ~extra points =
   let meta = R.Meta.stop probe ~experiment ~seed:run_seed in
-  progress "%s" (R.Meta.host_line meta);
-  if !json_flag then begin
+  X.progress "%s" (R.Meta.host_line meta);
+  if json then begin
     let file = Printf.sprintf "BENCH_%s.json" experiment in
     R.write_json ~file
       (R.Obj
@@ -84,994 +50,8 @@ let emit_json ?(extra = []) ~experiment ~probe points =
             ("points", R.Arr points);
           ]
          @ extra));
-    progress "wrote %s" file
+    X.progress "wrote %s" file
   end
-
-let mem_fields (s : Sim.stats) =
-  [
-    ("reads", R.Int s.Sim.reads);
-    ("writes", R.Int s.Sim.writes);
-    ("rmws", R.Int s.Sim.rmws);
-    ("events", R.Int s.Sim.events_fired);
-    ("end_clock", R.Int s.Sim.end_clock);
-    ("crashed_procs", R.Int s.Sim.crashed_procs);
-    ("fault_defers", R.Int s.Sim.fault_defers);
-    ("queue_wait_cycles", R.Int s.Sim.queue_wait_cycles);
-  ]
-
-(* --trace: traced fig7 run with cycle attribution (docs/TRACING.md). *)
-let trace_flag = ref false
-let trace_out : string option ref = ref None
-let trace_level = ref Etrace.Level.Events
-
-(* ------------------------------------------------------------------ *)
-(* Figures 7 and 8: produce-consume                                    *)
-(* ------------------------------------------------------------------ *)
-
-let produce_consume_tables ?(races = false) ~scale ~workload () =
-  let methods = W.Methods.produce_consume_methods in
-  let columns = List.map method_name methods in
-  let series =
-    List.map
-      (fun make ->
-        progress "produce-consume W=%d: %s" workload (method_name make);
-        W.Produce_consume.sweep ~horizon:scale.horizon ~workload ~races
-          ~proc_counts:scale.counts make)
-      methods
-  in
-  let row_of f procs =
-    ( string_of_int procs,
-      List.map
-        (fun points ->
-          let p =
-            List.find (fun p -> p.W.Produce_consume.procs = procs) points
-          in
-          f p)
-        series )
-  in
-  let throughput =
-    R.table
-      ~title:
-        (Printf.sprintf
-           "Produce-Consume, Workload=%d: throughput (ops per 10^6 cycles)"
-           workload)
-      ~row_label:"procs" ~columns
-      (List.map
-         (row_of (fun p -> R.int_ p.W.Produce_consume.throughput_per_m))
-         scale.counts)
-  in
-  let latency =
-    R.table
-      ~title:
-        (Printf.sprintf
-           "Produce-Consume, Workload=%d: average latency (cycles/op)"
-           workload)
-      ~row_label:"procs" ~columns
-      (List.map
-         (row_of (fun p -> R.float1 p.W.Produce_consume.latency))
-         scale.counts)
-  in
-  let json =
-    List.concat
-      (List.map2
-         (fun make points ->
-           let name = method_name make in
-           List.map
-             (fun (p : W.Produce_consume.point) ->
-               R.Obj
-                 ([
-                    ("method", R.Str name);
-                    ("workload", R.Int workload);
-                    ("procs", R.Int p.W.Produce_consume.procs);
-                    ( "throughput_per_m",
-                      R.Int p.W.Produce_consume.throughput_per_m );
-                    ("latency", R.Float p.W.Produce_consume.latency);
-                    ("latency_hist", R.histogram_json p.W.Produce_consume.lat);
-                    ("ops", R.Int p.W.Produce_consume.ops);
-                    ( "elim_rate",
-                      R.opt
-                        (fun r -> R.Float r)
-                        p.W.Produce_consume.elim_rate );
-                    ( "races",
-                      R.opt (fun n -> R.Int n) p.W.Produce_consume.races );
-                  ]
-                 @ mem_fields p.W.Produce_consume.mem))
-             points)
-         methods series)
-  in
-  (throughput ^ "\n" ^ latency, json)
-
-(* The traced fig7 run: the elimination tree at the largest processor
-   count, under the attribution sink (and the Chrome exporter when
-   [--trace-out] was given).  Returns the attribution summary for the
-   JSON report. *)
-let traced_fig7 scale =
-  let procs = List.fold_left max 2 scale.counts in
-  progress "fig7 traced: etree @ %d procs (level %s)" procs
-    (Etrace.Level.to_string !trace_level);
-  let chrome_level =
-    match !trace_out with Some _ -> Some !trace_level | None -> None
-  in
-  let tr =
-    W.Traced.run ?chrome_level ~procs (fun () ->
-        W.Produce_consume.run ~horizon:scale.horizon ~workload:0 ~procs
-          (fun ~procs -> W.Methods.etree_pool ~procs ()))
-  in
-  print_string
-    (R.attribution_table
-       ~title:
-         (Printf.sprintf "Cycle attribution: etree, W=0, %d procs" procs)
-       tr.W.Traced.attribution);
-  print_newline ();
-  (match (tr.W.Traced.chrome, !trace_out) with
-  | Some c, Some file -> (
-      Etrace.Chrome.write ~file c;
-      match Etrace.Chrome.validate_file file with
-      | Ok st ->
-          progress "wrote %s (%d events, %d tracks)" file st.Etrace.Chrome.events
-            st.Etrace.Chrome.tracks
-      | Error e ->
-          Printf.eprintf "bench: %s fails trace validation: %s\n" file e;
-          exit 1)
-  | _ -> ());
-  tr.W.Traced.attribution
-
-let fig7 scale =
-  print_string "== Figure 7: produce-consume, Workload = 0 ==\n\n";
-  let probe = R.Meta.start () in
-  let text, json = produce_consume_tables ~races:true ~scale ~workload:0 () in
-  print_string text;
-  print_newline ();
-  let extra =
-    if !trace_flag then begin
-      let attribution = traced_fig7 scale in
-      if not (Etrace.Attribution.check attribution) then
-        record_failure "fig7: attribution books do not balance (%d/%d cycles)"
-          attribution.Etrace.Attribution.attributed_cycles
-          attribution.Etrace.Attribution.total_cycles;
-      [ ("attribution", R.attribution_json attribution) ]
-    end
-    else []
-  in
-  emit_json ~extra ~experiment:"fig7" ~probe json
-
-let fig8 scale =
-  print_string "== Figure 8: produce-consume, Workload > 0 ==\n";
-  print_string
-    "(the paper's exact non-zero workload constants are illegible in the\n\
-    \ available text; 1000/4000/16000 preserve the reported regimes)\n\n";
-  let probe = R.Meta.start () in
-  let json =
-    List.concat_map
-      (fun workload ->
-        let text, json = produce_consume_tables ~scale ~workload () in
-        print_string text;
-        print_newline ();
-        json)
-      [ 1_000; 4_000; 16_000 ]
-  in
-  emit_json ~experiment:"fig8" ~probe json
-
-(* ------------------------------------------------------------------ *)
-(* Table 1: elimination fractions per level                            *)
-(* ------------------------------------------------------------------ *)
-
-let table1 scale =
-  print_string
-    "== Table 1: fraction of tokens eliminated per tree level ==\n\n";
-  let run procs =
-    progress "table1: %d procs" procs;
-    W.Table1.run ~horizon:scale.horizon ~procs ()
-  in
-  let r16 = run 16 and r256 = run 256 in
-  let rows =
-    List.map2
-      (fun (a : W.Table1.level_row) (b : W.Table1.level_row) ->
-        ( Printf.sprintf "level %d" a.W.Table1.level,
-          [ R.percent a.W.Table1.fraction; R.percent b.W.Table1.fraction ] ))
-      r16.W.Table1.rows r256.W.Table1.rows
-  in
-  print_string
-    (R.table ~title:"Etree-32 on produce-consume (W=0)" ~row_label:"level"
-       ~columns:[ "16 procs"; "256 procs" ]
-       rows);
-  Printf.printf
-    "\n\
-     expected nodes traversed (incl. leaf): %.2f @16 procs, %.2f @256 procs\n\
-     requests reaching leaf pools:          %s @16 procs, %s @256 procs\n\n"
-    r16.W.Table1.expected_nodes r256.W.Table1.expected_nodes
-    (R.percent r16.W.Table1.leaf_fraction)
-    (R.percent r256.W.Table1.leaf_fraction)
-
-(* ------------------------------------------------------------------ *)
-(* Figure 9: counting benchmark                                        *)
-(* ------------------------------------------------------------------ *)
-
-let fig9 scale =
-  print_string "== Figure 9: counting benchmark (fetch&increment loop) ==\n\n";
-  let probe = R.Meta.start () in
-  let methods = W.Methods.counting_methods in
-  let columns = List.map counter_name methods in
-  let series =
-    List.map
-      (fun make ->
-        progress "counting: %s" (counter_name make);
-        W.Counting.sweep ~horizon:scale.horizon ~proc_counts:scale.counts make)
-      methods
-  in
-  let rows =
-    List.map
-      (fun procs ->
-        ( string_of_int procs,
-          List.map
-            (fun points ->
-              let p = List.find (fun p -> p.W.Counting.procs = procs) points in
-              R.int_ p.W.Counting.throughput_per_m)
-            series ))
-      scale.counts
-  in
-  print_string
-    (R.table ~title:"Throughput (fetch&inc per 10^6 cycles)"
-       ~row_label:"procs" ~columns rows);
-  print_newline ();
-  emit_json ~experiment:"fig9" ~probe
-    (List.concat
-       (List.map2
-          (fun make points ->
-            let name = counter_name make in
-            List.map
-              (fun (p : W.Counting.point) ->
-                R.Obj
-                  ([
-                     ("method", R.Str name);
-                     ("procs", R.Int p.W.Counting.procs);
-                     ("throughput_per_m", R.Int p.W.Counting.throughput_per_m);
-                   ]
-                  @ mem_fields p.W.Counting.mem))
-              points)
-          methods series))
-
-(* ------------------------------------------------------------------ *)
-(* Figure 10: 10-queens and response time                              *)
-(* ------------------------------------------------------------------ *)
-
-let fig10 scale =
-  print_string "== Figure 10 (left): 10-queens job distribution ==\n\n";
-  let probe = R.Meta.start () in
-  let methods = W.Methods.distribution_methods in
-  let columns = List.map method_name methods in
-  let counts = scale.counts in
-  let series =
-    List.map
-      (fun make ->
-        progress "queens: %s" (method_name make);
-        W.Queens.sweep ~proc_counts:counts make)
-      methods
-  in
-  let rows =
-    List.map
-      (fun procs ->
-        ( string_of_int procs,
-          List.map
-            (fun points ->
-              let p = List.find (fun p -> p.W.Queens.procs = procs) points in
-              R.int_ p.W.Queens.elapsed)
-            series ))
-      counts
-  in
-  print_string
-    (R.table ~title:"Elapsed cycles until all 1110 tasks consumed"
-       ~row_label:"procs" ~columns rows);
-  print_newline ();
-  let queens_json =
-    List.concat
-      (List.map2
-         (fun make points ->
-           let name = method_name make in
-           List.map
-             (fun (p : W.Queens.point) ->
-               R.Obj
-                 [
-                   ("kind", R.Str "queens");
-                   ("method", R.Str name);
-                   ("procs", R.Int p.W.Queens.procs);
-                   ("elapsed", R.Int p.W.Queens.elapsed);
-                   ("consumed", R.Int p.W.Queens.consumed);
-                 ])
-             points)
-         methods series)
-  in
-  print_string "== Figure 10 (right): response time (sparse handoff) ==\n\n";
-  let rt_counts = List.filter (fun n -> n mod 2 = 0) scale.counts in
-  let series =
-    List.map
-      (fun make ->
-        progress "response-time: %s" (method_name make);
-        W.Response_time.sweep ~total:scale.rt_total ~proc_counts:rt_counts
-          make)
-      methods
-  in
-  let rows =
-    List.map
-      (fun procs ->
-        ( string_of_int procs,
-          List.map
-            (fun points ->
-              let p =
-                List.find (fun p -> p.W.Response_time.procs = procs) points
-              in
-              R.float1 p.W.Response_time.normalized)
-            series ))
-      rt_counts
-  in
-  print_string
-    (R.table
-       ~title:
-         (Printf.sprintf
-            "Elapsed time until %d elements consumed, normalized per dequeue"
-            scale.rt_total)
-       ~row_label:"procs" ~columns rows);
-  print_newline ();
-  let rt_rows =
-    List.map
-      (fun procs ->
-        ( string_of_int procs,
-          List.map
-            (fun points ->
-              let p =
-                List.find (fun p -> p.W.Response_time.procs = procs) points
-              in
-              R.latency_cell p.W.Response_time.rt)
-            series ))
-      rt_counts
-  in
-  print_string
-    (R.table
-       ~title:"Per-element response time, p50/p90/p99 (cycles)"
-       ~row_label:"procs" ~columns rt_rows);
-  print_newline ();
-  emit_json ~experiment:"fig10" ~probe
-    (queens_json
-    @ List.concat
-        (List.map2
-           (fun make points ->
-             let name = method_name make in
-             List.map
-               (fun (p : W.Response_time.point) ->
-                 R.Obj
-                   [
-                     ("kind", R.Str "response_time");
-                     ("method", R.Str name);
-                     ("procs", R.Int p.W.Response_time.procs);
-                     ("elapsed", R.Int p.W.Response_time.elapsed);
-                     ("normalized", R.Float p.W.Response_time.normalized);
-                     ("consumed", R.Int p.W.Response_time.consumed);
-                     ("response_time", R.histogram_json p.W.Response_time.rt);
-                   ])
-               points)
-           methods series))
-
-(* ------------------------------------------------------------------ *)
-(* Chaos: the etrees.faults robustness sweep                           *)
-(* ------------------------------------------------------------------ *)
-
-let chaos_point_json ~level ~label (p : W.Chaos.point) =
-  R.Obj
-    ([
-       ("method", R.Str p.W.Chaos.method_name);
-       ("procs", R.Int p.W.Chaos.procs);
-       ("fault_level", R.Int level);
-       ("fault_label", R.Str label);
-       ("plan", R.Str p.W.Chaos.plan);
-       ("throughput_per_m", R.Int p.W.Chaos.throughput_per_m);
-       ("latency", R.Float p.W.Chaos.latency);
-       ("ops", R.Int p.W.Chaos.ops);
-       ("started", R.Int p.W.Chaos.started);
-       ("elim_rate", R.opt (fun r -> R.Float r) p.W.Chaos.elim_rate);
-       ("races", R.opt (fun n -> R.Int n) p.W.Chaos.races);
-       ("starved", R.Int p.W.Chaos.starved);
-       ("crashed", R.Int p.W.Chaos.crashed);
-       ("stuck", R.Int p.W.Chaos.stuck);
-       ( "conservation_ok",
-         R.Bool p.W.Chaos.conservation.Analysis.Conservation.ok );
-       ( "conservation",
-         R.Str p.W.Chaos.conservation.Analysis.Conservation.detail );
-       ( "termination_ok",
-         R.Bool p.W.Chaos.termination.Faults.Termination.ok );
-       ( "termination",
-         R.Str (Faults.Termination.format p.W.Chaos.termination) );
-     ]
-    @ mem_fields p.W.Chaos.mem)
-
-let chaos scale =
-  print_string
-    "== Chaos: degradation under deterministic fault plans (etrees.faults) \
-     ==\n\n";
-  let probe = R.Meta.start () in
-  let procs = 64 and fault_seed = 7 in
-  progress "chaos: procs=%d fault-seed=%d" procs fault_seed;
-  let levels =
-    W.Chaos.sweep ~fault_seed ~horizon:scale.horizon ~procs ~races:true ()
-  in
-  List.iter
-    (fun (level, label, points) ->
-      Printf.printf "-- fault level %d (%s) --\n" level label;
-      (match points with
-      | p :: _ -> Printf.printf "plan: %s\n" p.W.Chaos.plan
-      | [] -> ());
-      List.iter (fun p -> print_endline (W.Chaos.format_point p)) points;
-      print_newline ())
-    levels;
-  let columns = List.map (fun (_, label, _) -> label) levels in
-  let methods =
-    match levels with
-    | (_, _, points) :: _ ->
-        List.map (fun p -> p.W.Chaos.method_name) points
-    | [] -> []
-  in
-  let cell f name (_, _, points) =
-    let p =
-      List.find (fun p -> p.W.Chaos.method_name = name) points
-    in
-    f p
-  in
-  print_string
-    (R.table ~title:"Throughput (ops per 10^6 cycles) vs fault level"
-       ~row_label:"method" ~columns
-       (List.map
-          (fun name ->
-            ( name,
-              List.map
-                (cell (fun p -> R.int_ p.W.Chaos.throughput_per_m) name)
-                levels ))
-          methods));
-  print_newline ();
-  print_string
-    (R.table
-       ~title:
-         "Verdicts (conservation / termination bound; see docs/FAULTS.md)"
-       ~row_label:"method" ~columns
-       (List.map
-          (fun name ->
-            ( name,
-              List.map
-                (cell
-                   (fun p ->
-                     Printf.sprintf "%s/%s"
-                       (if p.W.Chaos.conservation.Analysis.Conservation.ok
-                        then "PASS"
-                        else "FAIL")
-                       (if p.W.Chaos.termination.Faults.Termination.ok then
-                          "PASS"
-                        else "FAIL"))
-                   name)
-                levels ))
-          methods));
-  print_newline ();
-  List.iter
-    (fun (level, label, points) ->
-      List.iter
-        (fun (p : W.Chaos.point) ->
-          if not p.W.Chaos.conservation.Analysis.Conservation.ok then
-            record_failure "chaos: conservation @ level %d (%s), %s: %s" level
-              label p.W.Chaos.method_name
-              p.W.Chaos.conservation.Analysis.Conservation.detail)
-        points)
-    levels;
-  emit_json ~experiment:"chaos" ~probe
-    (List.concat_map
-       (fun (level, label, points) ->
-         List.map (chaos_point_json ~level ~label) points)
-       levels)
-
-(* ------------------------------------------------------------------ *)
-(* S1: the sharded service frontend (docs/SHARDING.md)                 *)
-(* ------------------------------------------------------------------ *)
-
-let service_point_json (p : W.Service.point) =
-  R.Obj
-    ([
-       ("regime", R.Str p.W.Service.regime_name);
-       ("regime_detail", R.Str p.W.Service.regime);
-       ("shards", R.Int p.W.Service.shards);
-       ("steal_probes", R.Int p.W.Service.steal_probes);
-       ("policy", R.Str p.W.Service.policy);
-       ("procs", R.Int p.W.Service.procs);
-       ("width", R.Int p.W.Service.width);
-       ("sessions", R.Int p.W.Service.sessions);
-       ("requests", R.Int p.W.Service.requests);
-       ("completed", R.Int p.W.Service.completed);
-       ("starved", R.Int p.W.Service.starved);
-       ("throughput_per_m", R.Int p.W.Service.throughput_per_m);
-       ("sojourn", R.histogram_json p.W.Service.sojourn);
-       ("steal_empty_homes", R.Int p.W.Service.steal_empty_homes);
-       ("steal_probed", R.Int p.W.Service.steal_probed);
-       ("steal_hits", R.Int p.W.Service.steal_hits);
-       ("residue", R.Int p.W.Service.residue);
-       ( "residue_by_shard",
-         R.Arr (List.map (fun r -> R.Int r) p.W.Service.residue_by_shard) );
-       ( "conservation_ok",
-         R.Bool p.W.Service.conservation.Analysis.Conservation.ok );
-       ( "conservation",
-         R.Str p.W.Service.conservation.Analysis.Conservation.detail );
-       ( "conservation_by_shard_ok",
-         R.Bool
-           (List.for_all
-              (fun (r : Analysis.Conservation.report) ->
-                r.Analysis.Conservation.ok)
-              p.W.Service.conservation_by_shard) );
-     ]
-    @ mem_fields p.W.Service.mem)
-
-let service scale =
-  print_string
-    "== S1: sharded service frontend, closed-loop sessions \
-     (docs/SHARDING.md) ==\n\n";
-  let probe = R.Meta.start () in
-  (* Session budget by scale: the default sweep simulates >= 1M
-     sessions total (6 points x 175k); quick keeps CI fast. *)
-  let sessions =
-    if scale.horizon < 100_000 then 5_000
-    else if scale.horizon > 500_000 then 350_000
-    else 175_000
-  in
-  let shard_counts = [ 1; 8 ] in
-  let regimes = W.Service.default_regimes ~mean_gap:800 in
-  let points =
-    List.concat_map
-      (fun regime ->
-        List.map
-          (fun shards ->
-            progress "service: %s shards=%d sessions=%d"
-              (W.Arrivals.describe regime) shards sessions;
-            W.Service.run ~shards ~sessions ~regime ())
-          shard_counts)
-      regimes
-  in
-  List.iter (fun p -> print_endline (W.Service.format_point p)) points;
-  print_newline ();
-  let columns = List.map string_of_int shard_counts in
-  let cell f regime shards =
-    let p =
-      List.find
-        (fun (p : W.Service.point) ->
-          p.W.Service.regime_name = W.Arrivals.name regime
-          && p.W.Service.shards = shards)
-        points
-    in
-    f p
-  in
-  print_string
-    (R.table
-       ~title:"Completed requests per 10^6 cycles vs shard count"
-       ~row_label:"regime" ~columns
-       (List.map
-          (fun regime ->
-            ( W.Arrivals.name regime,
-              List.map
-                (cell (fun p -> R.int_ p.W.Service.throughput_per_m) regime)
-                shard_counts ))
-          regimes));
-  print_newline ();
-  print_string
-    (R.table ~title:"Sojourn (completion - scheduled arrival), p50/p90/p99 \
-                     (cycles)"
-       ~row_label:"regime" ~columns
-       (List.map
-          (fun regime ->
-            ( W.Arrivals.name regime,
-              List.map
-                (cell (fun p -> R.latency_cell p.W.Service.sojourn) regime)
-                shard_counts ))
-          regimes));
-  print_newline ();
-  let all_ok =
-    List.for_all
-      (fun (p : W.Service.point) ->
-        p.W.Service.conservation.Analysis.Conservation.ok)
-      points
-  in
-  Printf.printf "conservation (whole frontend, per shard): %s\n\n"
-    (if all_ok then "PASS" else "FAIL");
-  if not all_ok then
-    List.iter
-      (fun (p : W.Service.point) ->
-        if not p.W.Service.conservation.Analysis.Conservation.ok then
-          record_failure "service: conservation @ %s shards=%d: %s"
-            p.W.Service.regime_name p.W.Service.shards
-            p.W.Service.conservation.Analysis.Conservation.detail)
-      points;
-  emit_json ~experiment:"service" ~probe (List.map service_point_json points)
-
-(* ------------------------------------------------------------------ *)
-(* A1: the adaptive crossover (docs/ADAPTIVE.md)                       *)
-(* ------------------------------------------------------------------ *)
-
-let adapt_point_json (p : W.Adapt_sweep.point) =
-  R.Obj
-    [
-      ("method", R.Str p.W.Adapt_sweep.method_name);
-      ("reactive", R.Bool p.W.Adapt_sweep.reactive);
-      ("workload", R.Int p.W.Adapt_sweep.workload);
-      ("procs", R.Int p.W.Adapt_sweep.procs);
-      ("throughput_per_m", R.Int p.W.Adapt_sweep.throughput_per_m);
-      ("latency", R.Float p.W.Adapt_sweep.latency);
-      ("latency_hist", R.histogram_json p.W.Adapt_sweep.lat);
-      ("elim_rate", R.opt (fun r -> R.Float r) p.W.Adapt_sweep.elim_rate);
-      ( "final_adapt",
-        R.opt
-          (fun levels ->
-            R.Arr
-              (List.map
-                 (fun level ->
-                   R.Arr
-                     (List.map
-                        (fun (spin, widths) ->
-                          R.Obj
-                            [
-                              ("spin", R.Int spin);
-                              ( "widths",
-                                R.Arr (List.map (fun w -> R.Int w) widths) );
-                            ])
-                        level))
-                 levels))
-          p.W.Adapt_sweep.final_adapt );
-    ]
-
-let adapt_exp scale =
-  print_string
-    "== A1: reactive vs hand-tuned static elimination (docs/ADAPTIVE.md) \
-     ==\n\n";
-  let probe = R.Meta.start () in
-  let procs = List.fold_left max 2 scale.counts in
-  (* Load falls as think time grows; trim the axis at quick scale. *)
-  let workloads =
-    if scale.horizon < 100_000 then [ 0; 2_000; 16_000 ]
-    else W.Adapt_sweep.default_workloads
-  in
-  let specs = W.Adapt_sweep.methods () in
-  let series =
-    List.map
-      (fun (spec : W.Adapt_sweep.method_spec) ->
-        progress "adapt: %s @ %d procs" spec.W.Adapt_sweep.label procs;
-        List.map
-          (fun workload ->
-            W.Adapt_sweep.run_point ~horizon:scale.horizon ~procs ~workload
-              spec)
-          workloads)
-      specs
-  in
-  let columns =
-    List.map (fun (s : W.Adapt_sweep.method_spec) -> s.W.Adapt_sweep.label)
-      specs
-  in
-  let row_of f workload =
-    ( string_of_int workload,
-      List.map
-        (fun points ->
-          let p =
-            List.find
-              (fun (p : W.Adapt_sweep.point) ->
-                p.W.Adapt_sweep.workload = workload)
-              points
-          in
-          f p)
-        series )
-  in
-  print_string
-    (R.table
-       ~title:
-         (Printf.sprintf
-            "Produce-consume @ %d procs: throughput (ops per 10^6 cycles) \
-             vs think time"
-            procs)
-       ~row_label:"workload" ~columns
-       (List.map
-          (row_of (fun p -> R.int_ p.W.Adapt_sweep.throughput_per_m))
-          workloads));
-  print_newline ();
-  print_string
-    (R.table
-       ~title:
-         (Printf.sprintf
-            "Produce-consume @ %d procs: average latency (cycles/op) vs \
-             think time"
-            procs)
-       ~row_label:"workload" ~columns
-       (List.map
-          (row_of (fun p -> R.float1 p.W.Adapt_sweep.latency))
-          workloads));
-  print_newline ();
-  (* The reactive column's final state at the extremes of the axis. *)
-  List.iter
-    (fun points ->
-      List.iter
-        (fun (p : W.Adapt_sweep.point) ->
-          match p.W.Adapt_sweep.final_adapt with
-          | None -> ()
-          | Some levels ->
-              let fmt_level level =
-                String.concat ","
-                  (List.map
-                     (fun (spin, widths) ->
-                       Printf.sprintf "%d:[%s]" spin
-                         (String.concat ";"
-                            (List.map string_of_int widths)))
-                     level)
-              in
-              Printf.printf "adapted (W=%d) spin:[widths] by depth: %s\n"
-                p.W.Adapt_sweep.workload
-                (String.concat " | " (List.map fmt_level levels)))
-        points)
-    series;
-  let flat = List.concat series in
-  Printf.printf
-    "\nshape: saturation within 5%% of best static: %s; low-load latency \
-     strictly best: %s\n\n"
-    (if W.Adapt_sweep.saturation_ok flat then "PASS" else "FAIL")
-    (if W.Adapt_sweep.low_load_ok flat then "PASS" else "FAIL");
-  emit_json ~experiment:"adapt" ~probe (List.map adapt_point_json flat)
-
-(* ------------------------------------------------------------------ *)
-(* Ablations (extensions; see EXPERIMENTS.md)                          *)
-(* ------------------------------------------------------------------ *)
-
-let ablate scale =
-  print_string "== Ablations: what makes the elimination tree fast? ==\n\n";
-  let methods = W.Methods.ablation_methods in
-  let columns = List.map method_name methods in
-  let counts = List.filter (fun n -> n >= 16) scale.counts in
-  let series =
-    List.map
-      (fun make ->
-        progress "ablate: %s" (method_name make);
-        W.Produce_consume.sweep ~horizon:scale.horizon ~workload:0
-          ~proc_counts:counts make)
-      methods
-  in
-  let table f title =
-    R.table ~title ~row_label:"procs" ~columns
-      (List.map
-         (fun procs ->
-           ( string_of_int procs,
-             List.map
-               (fun points ->
-                 let p =
-                   List.find
-                     (fun p -> p.W.Produce_consume.procs = procs)
-                     points
-                 in
-                 f p)
-               series ))
-         counts)
-  in
-  print_string
-    (table
-       (fun p -> R.int_ p.W.Produce_consume.throughput_per_m)
-       "Produce-consume W=0: throughput (ops per 10^6 cycles)");
-  print_newline ();
-  print_string
-    (table
-       (fun p -> R.float1 p.W.Produce_consume.latency)
-       "Produce-consume W=0: average latency (cycles/op)");
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Extra experiments beyond the paper                                  *)
-(* ------------------------------------------------------------------ *)
-
-let width_sweep scale =
-  print_string
-    "== Extra: elimination-tree width sensitivity (the paper chose 32 \
-     empirically) ==\n\n";
-  let methods = W.Methods.width_methods in
-  let columns = List.map method_name methods in
-  let series =
-    List.map
-      (fun make ->
-        progress "width: %s" (method_name make);
-        W.Produce_consume.sweep ~horizon:scale.horizon ~workload:0
-          ~proc_counts:scale.counts make)
-      methods
-  in
-  let rows =
-    List.map
-      (fun procs ->
-        ( string_of_int procs,
-          List.map
-            (fun points ->
-              let p =
-                List.find (fun p -> p.W.Produce_consume.procs = procs) points
-              in
-              R.int_ p.W.Produce_consume.throughput_per_m)
-            series ))
-      scale.counts
-  in
-  print_string
-    (R.table ~title:"Produce-consume W=0: throughput (ops per 10^6 cycles)"
-       ~row_label:"procs" ~columns rows);
-  print_newline ()
-
-let extra scale =
-  print_string "== Extra: counting-network lineage (not in the paper) ==\n\n";
-  let methods = W.Methods.counting_extra_methods in
-  let columns = List.map counter_name methods in
-  let series =
-    List.map
-      (fun make ->
-        progress "extra counting: %s" (counter_name make);
-        W.Counting.sweep ~horizon:scale.horizon ~proc_counts:scale.counts make)
-      methods
-  in
-  let rows =
-    List.map
-      (fun procs ->
-        ( string_of_int procs,
-          List.map
-            (fun points ->
-              let p = List.find (fun p -> p.W.Counting.procs = procs) points in
-              R.int_ p.W.Counting.throughput_per_m)
-            series ))
-      scale.counts
-  in
-  print_string
-    (R.table
-       ~title:
-         "Throughput (fetch&inc per 10^6 cycles): AHS bitonic network [4] \
-          vs diffracting trees vs one hot location"
-       ~row_label:"procs" ~columns rows);
-  print_newline ();
-  print_string
-    "== Extra: LIFO job distribution (stack-like pool vs stealing) ==\n\n";
-  let methods = W.Methods.distribution_extra_methods in
-  let columns = List.map method_name methods in
-  let series =
-    List.map
-      (fun make ->
-        progress "extra queens: %s" (method_name make);
-        W.Queens.sweep ~proc_counts:scale.counts make)
-      methods
-  in
-  let rows =
-    List.map
-      (fun procs ->
-        ( string_of_int procs,
-          List.map
-            (fun points ->
-              let p = List.find (fun p -> p.W.Queens.procs = procs) points in
-              R.int_ p.W.Queens.elapsed)
-            series ))
-      scale.counts
-  in
-  print_string
-    (R.table ~title:"Elapsed cycles until all 1110 tasks consumed"
-       ~row_label:"procs" ~columns rows);
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Thesis experiments: load sweep and LIFO fidelity                    *)
-(* ------------------------------------------------------------------ *)
-
-let thesis scale =
-  print_string
-    "== Extra: elimination rate and latency vs offered load \
-     (Etree-32, 256 procs) ==\n\n";
-  progress "load sweep";
-  let points =
-    W.Load_sweep.sweep ~horizon:scale.horizon ~procs:256
-      ~workloads:[ 0; 500; 1_000; 2_000; 4_000; 8_000; 16_000 ]
-      ()
-  in
-  print_string
-    (R.table ~title:"The busier it gets, the faster it gets"
-       ~row_label:"workload"
-       ~columns:[ "latency"; "root elim"; "reach leaf" ]
-       (List.map
-          (fun (p : W.Load_sweep.point) ->
-            ( string_of_int p.W.Load_sweep.workload,
-              [
-                R.float1 p.W.Load_sweep.latency;
-                R.percent p.W.Load_sweep.root_elimination;
-                R.percent p.W.Load_sweep.leaf_fraction;
-              ] ))
-          points));
-  print_newline ();
-  print_string
-    "== Extra: LIFO fidelity of the stack-like pool (fraction of pops \
-     returning the newest element) ==\n\n";
-  let methods =
-    [
-      (fun ~procs -> W.Methods.estack_pool ~procs ());
-      (fun ~procs -> W.Methods.etree_pool ~procs ());
-    ]
-  in
-  let columns = List.map method_name methods in
-  let counts = List.filter (fun n -> n >= 4) scale.counts in
-  let series =
-    List.map
-      (fun make ->
-        progress "lifo fidelity: %s" (method_name make);
-        W.Lifo_fidelity.sweep ~horizon:scale.horizon ~proc_counts:counts make)
-      methods
-  in
-  let rows =
-    List.map
-      (fun procs ->
-        ( string_of_int procs,
-          List.concat_map
-            (fun points ->
-              let p =
-                List.find (fun p -> p.W.Lifo_fidelity.procs = procs) points
-              in
-              [
-                R.percent p.W.Lifo_fidelity.hit_fraction;
-                R.float2 p.W.Lifo_fidelity.mean_rank;
-              ])
-            series ))
-      counts
-  in
-  let columns =
-    List.concat_map (fun c -> [ c ^ " hits"; c ^ " rank" ]) columns
-  in
-  print_string
-    (R.table
-       ~title:
-         "Stack-like pool vs plain (FIFO-leaf) pool, produce-consume \
-          (hits: pop returned the newest element; rank: 0 = stack, 1 = \
-          queue)"
-       ~row_label:"procs" ~columns rows);
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Model sensitivity                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The cost model assumes hot locations can be read-shared (reads do
-   not serialize).  This experiment re-runs the headline comparison
-   with reads queueing like writes: the ranking and shapes must
-   survive, only constants move. *)
-let model scale =
-  print_string
-    "== Extra: model sensitivity (reads serialize like writes) ==\n\n";
-  let methods = W.Methods.produce_consume_methods in
-  let columns = List.map method_name methods in
-  let counts = List.filter (fun n -> n >= 16) scale.counts in
-  List.iter
-    (fun (label, config) ->
-      let series =
-        List.map
-          (fun make ->
-            progress "model(%s): %s" label (method_name make);
-            W.Produce_consume.sweep ~horizon:scale.horizon ?config
-              ~workload:0 ~proc_counts:counts make)
-          methods
-      in
-      let rows =
-        List.map
-          (fun procs ->
-            ( string_of_int procs,
-              List.map
-                (fun points ->
-                  let p =
-                    List.find
-                      (fun p -> p.W.Produce_consume.procs = procs)
-                      points
-                  in
-                  R.int_ p.W.Produce_consume.throughput_per_m)
-                series ))
-          counts
-      in
-      print_string
-        (R.table
-           ~title:
-             (Printf.sprintf
-                "Produce-consume W=0 throughput, %s read model" label)
-           ~row_label:"procs" ~columns rows);
-      print_newline ())
-    [
-      ("shared (default)", None);
-      ("serialized", Some Sim.Memory.serialized_reads_config);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Native micro-benchmarks (Bechamel)                                  *)
@@ -1149,79 +129,89 @@ let native_benches () =
 
 (* ------------------------------------------------------------------ *)
 
+let usage fmt =
+  Printf.ksprintf
+    (fun s ->
+      Printf.eprintf
+        "bench: %s\n\
+         usage: main.exe [--quick|--full] [--json] [--trace] [--trace-out \
+         FILE] [--trace-level LEVEL] [EXPERIMENT...]\n\
+         experiments: %s native all tracked\n"
+        s (String.concat " " X.names);
+      exit 2)
+    fmt
+
 let () =
   let total_probe = R.Meta.start () in
-  let args = Array.to_list Sys.argv |> List.tl in
-  let scale = ref default_scale in
-  let picked = ref [] in
-  let horizon_override = ref None in
+  let scale = ref X.default and picked = ref [] and json = ref false in
+  let traced = ref false and out = ref None in
+  let level = ref Etrace.Level.Events in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
-        scale := quick_scale;
+        scale := X.quick;
         parse rest
     | "--full" :: rest ->
-        scale := full_scale;
-        parse rest
-    | "--horizon" :: n :: rest ->
-        horizon_override := Some (int_of_string n);
+        scale := X.full;
         parse rest
     | "--json" :: rest ->
-        json_flag := true;
+        json := true;
         parse rest
     | "--trace" :: rest ->
-        trace_flag := true;
+        traced := true;
         parse rest
     | "--trace-out" :: file :: rest ->
-        trace_flag := true;
-        trace_out := Some file;
+        traced := true;
+        out := Some file;
         parse rest
     | "--trace-level" :: l :: rest ->
         (match Etrace.Level.of_string l with
-        | Some lv -> trace_level := lv
-        | None ->
-            prerr_endline
-              ("unknown trace level " ^ l ^ " (off|ops|events|full)");
-            exit 2);
+        | Some lv -> level := lv
+        | None -> usage "unknown trace level %s (off|ops|events|full)" l);
         parse rest
-    | x :: rest ->
+    | [ ("--trace-out" | "--trace-level") as flag ] ->
+        usage "%s needs an argument" flag
+    | x :: rest
+      when List.mem x ("native" :: "all" :: "tracked" :: X.names) ->
         picked := x :: !picked;
         parse rest
+    | x :: _ -> usage "unknown experiment or option %s" x
   in
-  parse args;
-  let scale =
-    match !horizon_override with
-    | Some h -> { !scale with horizon = h }
-    | None -> !scale
+  parse (List.tl (Array.to_list Sys.argv));
+  let trace = if !traced then Some { X.level = !level; out = !out } else None in
+  let picked = if !picked = [] then [ "all" ] else !picked in
+  let want name =
+    List.mem name picked || List.mem "all" picked
+    || (List.mem "tracked" picked && List.mem name X.tracked)
   in
-  let picked = if !picked = [] then [ "all" ] else List.rev !picked in
-  let want x = List.mem x picked || List.mem "all" picked in
-  progress "scale: horizon=%d cycles, procs=%s" scale.horizon
-    (String.concat "," (List.map string_of_int scale.counts));
-  if want "fig7" then fig7 scale;
-  if want "fig8" then fig8 scale;
-  if want "table1" then table1 scale;
-  if want "fig9" then fig9 scale;
-  if want "fig10" then fig10 scale;
-  if want "chaos" then chaos scale;
-  if want "service" then service scale;
-  if want "adapt" then adapt_exp scale;
-  if want "ablate" then ablate scale;
-  if want "extra" then begin
-    width_sweep scale;
-    extra scale;
-    thesis scale;
-    model scale
-  end;
+  let scale = !scale in
+  X.progress "scale: horizon=%d cycles, procs=%s" scale.X.horizon
+    (String.concat "," (List.map string_of_int scale.X.counts));
+  let failures =
+    List.concat_map
+      (fun (e : X.t) ->
+        if not (want e.X.name) then []
+        else begin
+          let probe = R.Meta.start () in
+          let o = e.X.run ?trace scale in
+          print_string o.X.text;
+          List.iter (Printf.eprintf "bench: FAIL %s\n%!") o.X.failures;
+          Option.iter
+            (emit_json ~json:!json ~experiment:e.X.name ~probe
+               ~extra:o.X.extra)
+            o.X.points;
+          o.X.failures
+        end)
+      X.all
+  in
   if want "native" then native_benches ();
   (* Whole-process cost line, from the same Report.Meta probe the JSON
-     meta blocks use (satellite 6 of docs/BENCHDB.md: one code path, so
-     stdout and JSON cannot disagree). *)
-  progress "%s"
-    (R.Meta.host_line (R.Meta.stop total_probe ~experiment:"all" ~seed:run_seed));
-  match !failures with
-  | [] -> ()
-  | fs ->
-      Printf.eprintf "bench: %d verdict failure(s):\n" (List.length fs);
-      List.iter (fun f -> Printf.eprintf "  %s\n" f) (List.rev fs);
-      exit 1
+     meta blocks use, so stderr and JSON cannot disagree. *)
+  X.progress "%s"
+    (R.Meta.host_line
+       (R.Meta.stop total_probe ~experiment:"all" ~seed:run_seed));
+  if failures <> [] then begin
+    Printf.eprintf "bench: %d verdict failure(s):\n" (List.length failures);
+    List.iter (Printf.eprintf "  %s\n") failures;
+    exit 1
+  end

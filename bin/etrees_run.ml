@@ -26,7 +26,7 @@ let seed_t = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.")
 let horizon_t =
   Arg.(
     value
-    & opt int 200_000
+    & opt int W.Experiment.default.horizon
     & info [ "horizon" ] ~doc:"Simulated cycles to run (paper: 1000000).")
 
 let method_conv names =
@@ -146,19 +146,11 @@ let pc_cmd =
       pool.W.Pool_obj.name procs workload p.W.Produce_consume.ops
       p.W.Produce_consume.throughput_per_m p.W.Produce_consume.latency
       (W.Report.ops p.W.Produce_consume.mem);
-    match pool.W.Pool_obj.adapt_by_level with
-    | None -> ()
-    | Some f ->
-        let fmt_level level =
-          String.concat ","
-            (List.map
-               (fun (spin, widths) ->
-                 Printf.sprintf "%d:[%s]" spin
-                   (String.concat ";" (List.map string_of_int widths)))
-               level)
-        in
+    Option.iter
+      (fun f ->
         Printf.printf "adapted spin:[widths] by depth: %s\n"
-          (String.concat " | " (List.map fmt_level (f ())))
+          (W.Adapt_sweep.format_adapt (f ())))
+      pool.W.Pool_obj.adapt_by_level
   in
   Cmd.v
     (Cmd.info "pc" ~doc:"Produce-consume benchmark (Figures 7/8).")
@@ -196,7 +188,7 @@ let queens_cmd =
 let response_cmd =
   let total_t =
     Arg.(
-      value & opt int 2_560
+      value & opt int W.Experiment.default.rt_total
       & info [ "total" ] ~doc:"Elements to hand off (paper: 2560).")
   in
   let run procs seed total make =
@@ -300,15 +292,9 @@ let chaos_cmd =
       Printf.printf
         "chaos ladder: procs=%d seed=%d horizon=%d fault-seed=%d\n\n" procs
         seed horizon fault_seed;
-      List.iter
-        (fun (level, label, points) ->
-          Printf.printf "-- fault level %d (%s) --\n" level label;
-          (match points with
-          | p :: _ -> Printf.printf "plan: %s\n" p.W.Chaos.plan
-          | [] -> ());
-          List.iter (fun p -> print_endline (W.Chaos.format_point p)) points;
-          print_newline ())
-        (W.Chaos.sweep ~seed ~fault_seed ~horizon ~methods ~procs ())
+      print_string
+        (W.Chaos.format_ladder
+           (W.Chaos.sweep ~seed ~fault_seed ~horizon ~methods ~procs ()))
     end
     else begin
       Printf.printf "chaos: procs=%d seed=%d horizon=%d\nplan: %s\n\n" procs
@@ -503,35 +489,22 @@ let trace_cmd =
     Printf.printf "%s procs=%d workload=%d: %d ops, %d ops/Mcycle\n\n" name
       procs workload p.W.Produce_consume.ops
       p.W.Produce_consume.throughput_per_m;
-    print_string
-      (W.Report.attribution_table
-         ~title:
-           (Printf.sprintf "Cycle attribution: %s, W=%d, %d procs" name
-              workload procs)
-         tr.W.Traced.attribution);
-    print_newline ();
-    if not (Etrace.Attribution.check tr.W.Traced.attribution) then begin
-      Printf.eprintf
-        "trace: attribution books do not balance (attributed %d, total %d)\n"
-        tr.W.Traced.attribution.Etrace.Attribution.attributed_cycles
-        tr.W.Traced.attribution.Etrace.Attribution.total_cycles;
+    let r = W.Traced.report ~name ~workload ?out ~validate:check tr in
+    print_string r.W.Traced.text;
+    if r.W.Traced.failures <> [] then begin
+      List.iter (Printf.eprintf "trace: %s\n") r.W.Traced.failures;
       exit 1
     end;
-    match (tr.W.Traced.chrome, out) with
-    | Some c, Some file ->
-        Etrace.Chrome.write ~file c;
+    match out with
+    | Some file ->
         Printf.printf "wrote %s (level %s)\n" file
           (Etrace.Level.to_string level);
-        if check then begin
-          match Etrace.Chrome.validate_file file with
-          | Ok st ->
-              Printf.printf "validated: %d events on %d tracks\n"
-                st.Etrace.Chrome.events st.Etrace.Chrome.tracks
-          | Error e ->
-              Printf.eprintf "trace: %s fails validation: %s\n" file e;
-              exit 1
-        end
-    | _ ->
+        Option.iter
+          (fun (st : Etrace.Chrome.stats) ->
+            Printf.printf "validated: %d events on %d tracks\n"
+              st.Etrace.Chrome.events st.Etrace.Chrome.tracks)
+          r.W.Traced.validated
+    | None ->
         if check then begin
           Printf.eprintf "trace: --check requires --trace-out FILE\n";
           exit 2
@@ -933,10 +906,6 @@ let netverify_cmd =
 let perf_cmd =
   let module Db = Benchdb.Db in
   let module Gate = Benchdb.Gate in
-  (* The gated set: the experiments `dune build @perf` runs with
-     --quick --json.  fig8/9/10 also carry meta blocks but cost too
-     much wall clock for the per-commit gate. *)
-  let tracked = [ "fig7"; "chaos"; "adapt"; "service" ] in
   let db_t =
     Arg.(
       value & opt string "bench/db"
@@ -955,9 +924,9 @@ let perf_cmd =
       & info [ "e"; "exp" ] ~docv:"EXP"
           ~doc:
             (Printf.sprintf "Experiment (repeatable; default: %s)."
-               (String.concat ", " tracked)))
+               (String.concat ", " W.Experiment.tracked)))
   in
-  let pick_exps = function [] -> tracked | exps -> exps in
+  let pick_exps = function [] -> W.Experiment.tracked | exps -> exps in
   let load_report ~bench_dir exp =
     let file = Filename.concat bench_dir (Printf.sprintf "BENCH_%s.json" exp) in
     match Etrace.Json.parse_file file with

@@ -124,11 +124,6 @@ type window = {
 
 type direction = Grow | Shrink | Hold
 
-let direction_name = function
-  | Grow -> "grow"
-  | Shrink -> "shrink"
-  | Hold -> "hold"
-
 module Controller = struct
   type t = {
     config : config;

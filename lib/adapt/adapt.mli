@@ -37,10 +37,6 @@ type policy = [ `Static | `Reactive of config ]
 
 val policy_name : policy -> string
 
-val clamp_bounds : config -> base:int -> int * int
-(** [(lo, hi)] band for a knob whose static value is [base]; both ends
-    at least 1. *)
-
 type window = {
   entries : int;
   hits : int;    (** eliminated + diffracted individuals *)
@@ -50,8 +46,6 @@ type window = {
 (** One observation window of a balancer's counters, as plain counts. *)
 
 type direction = Grow | Shrink | Hold
-
-val direction_name : direction -> string
 
 module Controller : sig
   type t

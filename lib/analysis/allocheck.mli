@@ -26,7 +26,6 @@ type kind =
   | K_other     (* objects, first-class modules, letop, ... *)
 
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 
 type site = {
   s_file : string;
@@ -51,12 +50,6 @@ type census = {
 }
 
 exception Error of string
-
-val read_cmt : string -> string * Typedtree.structure
-(** [read_cmt path] loads a .cmt file, returning the plain module name
-    (library prefixes such as [Sim__] stripped) and the implementation
-    typedtree.  Raises {!Error} on unreadable files or interface-only
-    cmts. *)
 
 val census : (string * Typedtree.structure) list -> census
 (** Two-pass census over every scanned module: collect top-level

@@ -42,5 +42,4 @@ val run : ?strict_reads:bool -> ?max_races:int -> (unit -> 'a) -> 'a * report
     deduplicated; at most [max_races] (default 1000) races are kept.
     Nested uses restore the previous tracer. *)
 
-val format_race : race -> string
 val format_report : report -> string

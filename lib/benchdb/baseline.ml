@@ -45,7 +45,7 @@ let render ?(db_dir = "bench/db") experiments =
   add
     "\nRefresh procedure (after an intentional perf-affecting change):\n\n\
      ```\n\
-     dune exec bench/main.exe -- --quick --json fig7 chaos adapt service\n\
+     dune exec bench/main.exe -- --quick --json tracked\n\
      dune exec bin/etrees_run.exe -- perf append --reference\n\
      dune exec bin/etrees_run.exe -- perf baseline --out BENCH_BASELINE.md\n\
      ```\n\n\

@@ -11,10 +11,6 @@ type run = {
   meta : Etrace.Json.value;  (** the meta object, schema-checked *)
 }
 
-val value_to_string : Etrace.Json.value -> string
-(** Compact single-line serialization of a parsed JSON value
-    (the reader in [lib/trace] has no writer). *)
-
 val validate_meta : Etrace.Json.value -> (unit, string) result
 (** The meta schema every [BENCH_<exp>.json] must satisfy: the
     [Report.Meta] fields, present and correctly typed. *)
@@ -24,15 +20,12 @@ val of_bench_json :
 (** Fold a freshly written [BENCH_<exp>.json] into one DB row
     (validates the experiment tag and the meta schema). *)
 
-val run_to_line : run -> string
-val run_of_line : exp:string -> string -> (run, string) result
-
 val path : db_dir:string -> string -> string
 (** [path ~db_dir exp] is [db_dir/exp.jsonl]. *)
 
 val append : db_dir:string -> run -> unit
-(** Append one row ([run_to_line] + newline), creating the directory
-    and file on first use. *)
+(** Append one row (a single JSON line), creating the directory and
+    file on first use. *)
 
 val load : db_dir:string -> string -> (run list, string) result
 (** All rows, oldest first; [Ok []] when the file does not exist yet;

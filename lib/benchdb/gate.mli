@@ -58,5 +58,4 @@ val exit_code : verdict -> int
 val combined_exit_code : verdict list -> int
 (** Worst verdict across experiments: 1 dominates 3 dominates 0. *)
 
-val format_delta : delta -> string
 val format : exp:string -> tight_pct:float -> loose_pct:float -> verdict -> string

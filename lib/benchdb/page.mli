@@ -2,14 +2,6 @@
     and SVG sparklines, no scripts, rendered deterministically from the
     database so the golden-fixture test can compare bytes. *)
 
-val page_metrics : (string * string) list
-(** (metric, display label) rows rendered per experiment, gated
-    columns first. *)
-
-val sparkline : ?ref_index:int -> float list -> string
-(** One series, oldest first, as an inline [<svg>]: accent polyline,
-    filled dot on the latest value, hollow dot on [ref_index]. *)
-
 val render : ?generated:string -> (string * Db.run list) list -> string
 (** [(experiment, runs oldest-first)] sections in the given order.
     [generated] is a caller-supplied stamp (omitted from tests to keep

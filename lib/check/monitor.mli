@@ -27,8 +27,6 @@ val conservation :
 
 type counter_op = { is_inc : bool; result : int option (* [None] = Paired *) }
 
-val format_counter_ops : counter_op list -> string
-
 val paired_balance : counter_op list -> verdict
 (** Eliminated increments and decrements must pair up exactly — the
     quiescent guarantee that survives mixed concurrent inc/dec bursts

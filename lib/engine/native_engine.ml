@@ -64,13 +64,12 @@ let rec release_pid () =
   let old = Atomic.get free_pids in
   if not (Atomic.compare_and_set free_pids old (p :: old)) then release_pid ()
 
-let seed = Atomic.make 0x9E3779B9
-
-let set_seed s = Atomic.set seed s
+(* Seed of the per-domain random streams. *)
+let seed = 0x9E3779B9
 
 let rng_key =
   Domain.DLS.new_key (fun () ->
-      let base = Splitmix.of_int (Atomic.get seed) in
+      let base = Splitmix.of_int seed in
       Splitmix.split base ~index:(Domain.DLS.get pid_key))
 
 let random_int n = Splitmix.int (Domain.DLS.get rng_key) n

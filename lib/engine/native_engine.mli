@@ -15,10 +15,6 @@ val set_capacity : int -> unit
     engine simultaneously.  Default 128.  Raises [Invalid_argument] on
     non-positive [n]. *)
 
-val set_seed : int -> unit
-(** Seed for the per-domain random streams (affects domains that have
-    not yet drawn). *)
-
 val release_pid : unit -> unit
 (** Return the calling domain's processor id to the free pool; call as
     the last engine operation before the domain exits.  Using any

@@ -36,6 +36,5 @@ val verify : Ir.network -> report
     certification. *)
 
 val ok : report -> bool
-val op_name : op -> string
 val format_ops : (op * int) list -> string
 val format_report : report -> string

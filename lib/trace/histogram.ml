@@ -107,17 +107,6 @@ let percentile t q =
     if v < t.min_v then t.min_v else if v > t.max_v then t.max_v else v
   end
 
-(* Non-empty buckets, smallest value first: (lo, hi, count). *)
-let nonzero_buckets t =
-  let acc = ref [] in
-  for i = slots - 1 downto 0 do
-    if t.counts.(i) > 0 then begin
-      let lo, hi = bounds i in
-      acc := (lo, hi, t.counts.(i)) :: !acc
-    end
-  done;
-  !acc
-
 type summary = {
   count : int;
   mean : float;

@@ -29,9 +29,6 @@ val index_of : int -> int
 val bounds : int -> int * int
 (** Inclusive value range of a bucket index (exposed for tests). *)
 
-val nonzero_buckets : t -> (int * int * int) list
-(** Non-empty buckets, smallest first: [(lo, hi, count)]. *)
-
 type summary = {
   count : int;
   mean : float;

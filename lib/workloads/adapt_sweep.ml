@@ -130,3 +130,59 @@ let low_load_ok points =
       | [ r ], _ :: _ ->
           List.for_all (fun s -> r.latency < s.latency) statics
       | _ -> false)
+
+(* The verdict bench/main.exe turns into its exit status. *)
+let shape_failures points =
+  let fail ok claim = if ok then [] else [ "adapt: " ^ claim ] in
+  fail (saturation_ok points)
+    "reactive throughput not within 5% of the best static at saturation"
+  @ fail (low_load_ok points)
+      "reactive latency not strictly best at the lowest load"
+
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let format_adapt levels =
+  String.concat " | "
+    (List.map
+       (fun level ->
+         String.concat ","
+           (List.map
+              (fun (spin, widths) ->
+                Printf.sprintf "%d:[%s]" spin
+                  (String.concat ";" (List.map string_of_int widths)))
+              level))
+       levels)
+
+let to_json p =
+  Report.(
+    Obj
+      [
+        ("method", Str p.method_name);
+        ("reactive", Bool p.reactive);
+        ("workload", Int p.workload);
+        ("procs", Int p.procs);
+        ("throughput_per_m", Int p.throughput_per_m);
+        ("latency", Float p.latency);
+        ("latency_hist", histogram_json p.lat);
+        ("elim_rate", opt (fun r -> Float r) p.elim_rate);
+        ( "final_adapt",
+          opt
+            (fun levels ->
+              Arr
+                (List.map
+                   (fun level ->
+                     Arr
+                       (List.map
+                          (fun (spin, widths) ->
+                            Obj
+                              [
+                                ("spin", Int spin);
+                                ( "widths",
+                                  Arr (List.map (fun w -> Int w) widths) );
+                              ])
+                          level))
+                   levels))
+            p.final_adapt );
+      ])

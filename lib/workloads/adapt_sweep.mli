@@ -23,7 +23,6 @@ type method_spec = {
   make : procs:int -> int Pool_obj.pool;
 }
 
-val default_spin_bases : int list
 val default_workloads : int list
 
 val methods :
@@ -62,3 +61,15 @@ val saturation_ok : ?tolerance_pct:int -> point list -> bool
 val low_load_ok : point list -> bool
 (** At the largest workload: reactive latency strictly below every
     static schedule's. *)
+
+val shape_failures : point list -> string list
+(** One message per shape predicate that fails; [[]] when both hold. *)
+
+(** {2 Rendering} *)
+
+val format_adapt : (int * int list) list list -> string
+(** A reactive pool's per-depth [(spin, widths)], as
+    ["64:[32;8] | 32:[16;4],32:[16;4] | ..."]. *)
+
+val to_json : point -> Report.json
+(** One BENCH_adapt.json point. *)

@@ -206,3 +206,38 @@ let sweep ?(seed = 1) ?(fault_seed = 7) ?horizon ?config ?grace ?workload
       in
       (level, Faults.Fault_plan.level_label level, points))
     (List.init Faults.Fault_plan.ladder_levels Fun.id)
+
+let format_ladder levels =
+  String.concat ""
+    (List.map
+       (fun (level, label, points) ->
+         Printf.sprintf "-- fault level %d (%s) --\n%s%s\n" level label
+           (match points with p :: _ -> "plan: " ^ p.plan ^ "\n" | [] -> "")
+           (String.concat ""
+              (List.map (fun p -> format_point p ^ "\n") points)))
+       levels)
+
+let to_json ~level ~label p =
+  Report.(
+    Obj
+      ([
+         ("method", Str p.method_name);
+         ("procs", Int p.procs);
+         ("fault_level", Int level);
+         ("fault_label", Str label);
+         ("plan", Str p.plan);
+         ("throughput_per_m", Int p.throughput_per_m);
+         ("latency", Float p.latency);
+         ("ops", Int p.ops);
+         ("started", Int p.started);
+         ("elim_rate", opt (fun r -> Float r) p.elim_rate);
+         ("races", opt (fun n -> Int n) p.races);
+         ("starved", Int p.starved);
+         ("crashed", Int p.crashed);
+         ("stuck", Int p.stuck);
+         ("conservation_ok", Bool p.conservation.Analysis.Conservation.ok);
+         ("conservation", Str p.conservation.Analysis.Conservation.detail);
+         ("termination_ok", Bool p.termination.Faults.Termination.ok);
+         ("termination", Str (Faults.Termination.format p.termination));
+       ]
+      @ mem_fields p.mem))

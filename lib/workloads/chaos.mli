@@ -64,3 +64,10 @@ val sweep :
 val format_point : point -> string
 (** Stable one-line rendering; the determinism regression test compares
     these byte-for-byte. *)
+
+val format_ladder : (int * string * point list) list -> string
+(** The {!sweep} result as text: per level a ["-- fault level N (label)
+    --"] header, its plan and one {!format_point} line per method. *)
+
+val to_json : level:int -> label:string -> point -> Report.json
+(** One BENCH_chaos.json point at the given ladder level. *)

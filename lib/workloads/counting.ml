@@ -36,5 +36,12 @@ let run ?(seed = 1) ?(horizon = 200_000) ~procs
     mem = stats;
   }
 
-let sweep ?seed ?horizon ~proc_counts make =
-  List.map (fun procs -> run ?seed ?horizon ~procs make) proc_counts
+let to_json ~method_name (p : point) =
+  Report.(
+    Obj
+      ([
+         ("method", Str method_name);
+         ("procs", Int p.procs);
+         ("throughput_per_m", Int p.throughput_per_m);
+       ]
+      @ mem_fields p.mem))

@@ -16,9 +16,5 @@ val run :
   (procs:int -> Pool_obj.counter) ->
   point
 
-val sweep :
-  ?seed:int ->
-  ?horizon:int ->
-  proc_counts:int list ->
-  (procs:int -> Pool_obj.counter) ->
-  point list
+val to_json : method_name:string -> point -> Report.json
+(** One BENCH_fig9.json point. *)

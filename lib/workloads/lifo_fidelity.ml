@@ -89,6 +89,3 @@ let run ?(seed = 1) ?(horizon = 150_000) ~procs
     mean_rank =
       (if !pops = 0 then 0.0 else !rank_total /. float_of_int !pops);
   }
-
-let sweep ?seed ?horizon ~proc_counts make =
-  List.map (fun procs -> run ?seed ?horizon ~procs make) proc_counts

@@ -20,10 +20,3 @@ val run :
   procs:int ->
   (procs:int -> int Pool_obj.pool) ->
   point
-
-val sweep :
-  ?seed:int ->
-  ?horizon:int ->
-  proc_counts:int list ->
-  (procs:int -> int Pool_obj.pool) ->
-  point list

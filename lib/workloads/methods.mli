@@ -20,9 +20,6 @@ module Bitonic : module type of Baselines.Bitonic_network.Make (E)
 module Ws : module type of Baselines.Work_stealing.Make (E)
 module Spool : module type of Shard.Shard_pool.Make (E)
 
-val pow2_ceil : int -> int
-val ctree_width : procs:int -> int
-
 (** {2 The paper's methods} *)
 
 val etree_pool : ?width:int -> procs:int -> unit -> int Pool_obj.pool
@@ -41,7 +38,6 @@ val etree_pool_reactive :
 val estack_pool :
   ?width:int -> ?policy:Adapt.policy -> procs:int -> unit -> int Pool_obj.pool
 val mcs_pool : procs:int -> unit -> int Pool_obj.pool
-val ctree_pool : ?tree_procs:int -> procs:int -> unit -> int Pool_obj.pool
 val dtree_pool : ?width:int -> procs:int -> unit -> int Pool_obj.pool
 val rsu_pool : ?machine:int -> procs:int -> unit -> int Pool_obj.pool
 
@@ -57,26 +53,7 @@ val counting_methods : (procs:int -> Pool_obj.counter) list
 
 (** {2 Extension methods (see EXPERIMENTS.md)} *)
 
-val etree_pool_no_elim : ?width:int -> procs:int -> unit -> int Pool_obj.pool
-val etree_pool_single_prism :
-  ?width:int -> procs:int -> unit -> int Pool_obj.pool
-val eb_stack_pool : procs:int -> unit -> int Pool_obj.pool
-val treiber_pool : procs:int -> unit -> int Pool_obj.pool
 val naive_counter : procs:int -> Pool_obj.counter
-val bitonic_counter :
-  ?kind:[ `Bitonic | `Periodic ] ->
-  ?width:int ->
-  procs:int ->
-  unit ->
-  Pool_obj.counter
-val ws_pool : ?machine:int -> procs:int -> unit -> int Pool_obj.pool
-
-val shard_pool :
-  ?shards:int -> ?width:int -> procs:int -> unit -> int Pool_obj.pool
-(** "Shard-nxw": the sharded frontend (lib/shard, docs/SHARDING.md) as
-    a plain pool — enqueues route by value, dequeues by a rotating
-    collector id, so the steal path carries the imbalance and chaos
-    fault plans can target individual shards. *)
 
 val ablation_methods : (procs:int -> int Pool_obj.pool) list
 val width_methods : (procs:int -> int Pool_obj.pool) list

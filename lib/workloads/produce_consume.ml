@@ -89,8 +89,18 @@ let run ?(seed = 1) ?(horizon = 200_000) ?config ?(races = false) ~workload
   end
   else run_plain ~seed ~horizon ?config ~workload ~procs make
 
-(* Sweep processor counts for one method. *)
-let sweep ?seed ?horizon ?config ?races ~workload ~proc_counts make =
-  List.map
-    (fun procs -> run ?seed ?horizon ?config ?races ~workload ~procs make)
-    proc_counts
+let to_json ~method_name ~workload (p : point) =
+  Report.(
+    Obj
+      ([
+         ("method", Str method_name);
+         ("workload", Int workload);
+         ("procs", Int p.procs);
+         ("throughput_per_m", Int p.throughput_per_m);
+         ("latency", Float p.latency);
+         ("latency_hist", histogram_json p.lat);
+         ("ops", Int p.ops);
+         ("elim_rate", opt (fun r -> Float r) p.elim_rate);
+         ("races", opt (fun n -> Int n) p.races);
+       ]
+      @ mem_fields p.mem))

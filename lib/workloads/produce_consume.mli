@@ -32,12 +32,5 @@ val run :
     run executes under {!Analysis.Race_detector} and the point's
     [races] field carries the race count. *)
 
-val sweep :
-  ?seed:int ->
-  ?horizon:int ->
-  ?config:Sim.Memory.config ->
-  ?races:bool ->
-  workload:int ->
-  proc_counts:int list ->
-  (procs:int -> int Pool_obj.pool) ->
-  point list
+val to_json : method_name:string -> workload:int -> point -> Report.json
+(** One BENCH_fig7/fig8.json point. *)

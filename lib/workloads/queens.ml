@@ -52,5 +52,13 @@ let run ?(seed = 1) ~procs (make : procs:int -> int Pool_obj.pool) =
          !consumed total_tasks pool.Pool_obj.name);
   { procs; elapsed = !finish_time; consumed = !consumed }
 
-let sweep ?seed ~proc_counts make =
-  List.map (fun procs -> run ?seed ~procs make) proc_counts
+let to_json ~method_name (p : point) =
+  Report.(
+    Obj
+      [
+        ("kind", Str "queens");
+        ("method", Str method_name);
+        ("procs", Int p.procs);
+        ("elapsed", Int p.elapsed);
+        ("consumed", Int p.consumed);
+      ])

@@ -6,14 +6,8 @@
 type point = { procs : int; elapsed : int; consumed : int }
 
 val total_tasks : int
-val spawn_work : int
-val max_depth : int
-val fanout : int
 
 val run : ?seed:int -> procs:int -> (procs:int -> int Pool_obj.pool) -> point
 
-val sweep :
-  ?seed:int ->
-  proc_counts:int list ->
-  (procs:int -> int Pool_obj.pool) ->
-  point list
+val to_json : method_name:string -> point -> Report.json
+(** One BENCH_fig10.json point, tagged ["kind": "queens"]. *)

@@ -206,6 +206,18 @@ let write_json ~file j =
       output_string oc (json_to_string j);
       output_char oc '\n')
 
+let mem_fields (s : Sim.stats) =
+  [
+    ("reads", Int s.Sim.reads);
+    ("writes", Int s.Sim.writes);
+    ("rmws", Int s.Sim.rmws);
+    ("events", Int s.Sim.events_fired);
+    ("end_clock", Int s.Sim.end_clock);
+    ("crashed_procs", Int s.Sim.crashed_procs);
+    ("fault_defers", Int s.Sim.fault_defers);
+    ("queue_wait_cycles", Int s.Sim.queue_wait_cycles);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Meta: the per-run provenance + cost probe (docs/BENCHDB.md)         *)
 (* ------------------------------------------------------------------ *)
@@ -273,16 +285,27 @@ module Meta = struct
     minor_words_per_event : float;
   }
 
-  type probe = { p_cpu : float; p_gc : Gc.stat; p_totals : Sim.totals }
+  (* [Gc.minor_words] counts up to the call, where [Gc.quick_stat]'s
+     count stops at the last minor collection, so runs that allocate
+     the same read the same.  Both ends read it before the probe's own
+     allocations. *)
+  type probe = {
+    p_minor : float;
+    p_cpu : float;
+    p_gc : Gc.stat;
+    p_totals : Sim.totals;
+  }
 
   let start () =
-    { p_cpu = Sys.time (); p_gc = Gc.quick_stat (); p_totals = Sim.totals () }
+    let p_minor = Gc.minor_words () in
+    let p_cpu = Sys.time () in
+    { p_minor; p_cpu; p_gc = Gc.quick_stat (); p_totals = Sim.totals () }
 
   let stop probe ~experiment ~seed =
+    let minor_words = Gc.minor_words () -. probe.p_minor in
     let gc = Gc.quick_stat () and totals = Sim.totals () in
     let events = totals.Sim.t_events - probe.p_totals.Sim.t_events in
     let cpu_s = Sys.time () -. probe.p_cpu in
-    let minor_words = gc.Gc.minor_words -. probe.p_gc.Gc.minor_words in
     let commit, dirty = Lazy.force commit_info in
     {
       experiment;

@@ -35,10 +35,14 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-val json_to_string : json -> string
 val opt : ('a -> json) -> 'a option -> json
 val write_json : file:string -> json -> unit
 (** Writes [j] followed by a newline, overwriting [file]. *)
+
+val mem_fields : Sim.stats -> (string * json) list
+(** A run's engine-level counters as the JSON fields every simulated
+    point carries: reads, writes, rmws, events, end clock, crashed
+    processors, fault defers and queue-wait cycles. *)
 
 (** {2 Trace-derived reporting} *)
 
@@ -54,14 +58,16 @@ val attribution_json : Etrace.Attribution.summary -> json
 
 (** {2 Meta: the per-run provenance + cost probe}
 
-    Snapshots host cost ([Sys.time], [Gc.quick_stat]) and the
-    simulator's cumulative event/op odometer ({!Sim.totals}) around a
-    benchmark run, yielding the ["meta"] block every [BENCH_<exp>.json]
-    carries and the ["# host ..."] stdout line — both rendered from the
-    same record, so they can never disagree.  The deterministic columns
-    (events, reads/writes/rmws, minor words per event) are the ones the
-    perf-regression gate compares (docs/BENCHDB.md); wall-clock columns
-    are recorded but advisory. *)
+    Snapshots host cost ([Sys.time], [Gc.minor_words], [Gc.quick_stat])
+    and the simulator's cumulative event/op odometer ({!Sim.totals})
+    around a benchmark run, yielding the ["meta"] block every
+    [BENCH_<exp>.json] carries and the ["# host ..."] stderr line — both
+    rendered from the same record, so they can never disagree.  Minor
+    words are exact: [Gc.minor_words] counts up to the call, where
+    [Gc.quick_stat] stops at the last minor collection.  The
+    deterministic columns (events, reads/writes/rmws, minor words per
+    event) are the ones the perf-regression gate compares
+    (docs/BENCHDB.md); wall-clock columns are recorded but advisory. *)
 
 module Meta : sig
   type t = {

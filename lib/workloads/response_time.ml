@@ -91,5 +91,15 @@ let run ?(seed = 1) ?(total = 2560) ~procs
     rt = Etrace.Histogram.summary rt;
   }
 
-let sweep ?seed ?total ~proc_counts make =
-  List.map (fun procs -> run ?seed ?total ~procs make) proc_counts
+let to_json ~method_name (p : point) =
+  Report.(
+    Obj
+      [
+        ("kind", Str "response_time");
+        ("method", Str method_name);
+        ("procs", Int p.procs);
+        ("elapsed", Int p.elapsed);
+        ("normalized", Float p.normalized);
+        ("consumed", Int p.consumed);
+        ("response_time", histogram_json p.rt);
+      ])

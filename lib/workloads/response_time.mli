@@ -20,9 +20,5 @@ val run :
   point
 (** [procs] must be even and >= 2. *)
 
-val sweep :
-  ?seed:int ->
-  ?total:int ->
-  proc_counts:int list ->
-  (procs:int -> int Pool_obj.pool) ->
-  point list
+val to_json : method_name:string -> point -> Report.json
+(** One BENCH_fig10.json point, tagged ["kind": "response_time"]. *)

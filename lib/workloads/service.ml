@@ -215,17 +215,36 @@ let default_regimes ~mean_gap =
     Arrivals.Diurnal { mean_gap; amplitude_pct = 80; period = 100_000 };
   ]
 
-(* Defaults are the validated near-saturation operating point: 256
-   workers (the paper's machine size) at mean gap 800 offer ~0.32
-   req/cycle against a width-4 tree whose single-shard capacity is
-   ~0.08 — the single tree collapses while 8 shards keep up. *)
-let sweep ?seed ?procs ?width ?(shard_counts = [ 1; 8 ]) ?steal_probes ?policy
-    ?grace ?sessions ?(regimes = default_regimes ~mean_gap:800) () =
-  List.concat_map
-    (fun regime ->
-      List.map
-        (fun shards ->
-          run ?seed ?procs ?width ~shards ?steal_probes ?policy ?grace
-            ?sessions ~regime ())
-        shard_counts)
-    regimes
+let to_json p =
+  Report.(
+    Obj
+      ([
+         ("regime", Str p.regime_name);
+         ("regime_detail", Str p.regime);
+         ("shards", Int p.shards);
+         ("steal_probes", Int p.steal_probes);
+         ("policy", Str p.policy);
+         ("procs", Int p.procs);
+         ("width", Int p.width);
+         ("sessions", Int p.sessions);
+         ("requests", Int p.requests);
+         ("completed", Int p.completed);
+         ("starved", Int p.starved);
+         ("throughput_per_m", Int p.throughput_per_m);
+         ("sojourn", histogram_json p.sojourn);
+         ("steal_empty_homes", Int p.steal_empty_homes);
+         ("steal_probed", Int p.steal_probed);
+         ("steal_hits", Int p.steal_hits);
+         ("residue", Int p.residue);
+         ( "residue_by_shard",
+           Arr (List.map (fun r -> Int r) p.residue_by_shard) );
+         ("conservation_ok", Bool p.conservation.Analysis.Conservation.ok);
+         ("conservation", Str p.conservation.Analysis.Conservation.detail);
+         ( "conservation_by_shard_ok",
+           Bool
+             (List.for_all
+                (fun (r : Analysis.Conservation.report) ->
+                  r.Analysis.Conservation.ok)
+                p.conservation_by_shard) );
+       ]
+      @ mem_fields p.mem))

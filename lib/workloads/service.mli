@@ -63,17 +63,5 @@ val format_point : point -> string
 val default_regimes : mean_gap:int -> Arrivals.regime list
 (** Poisson, bursty (32 @ x8) and diurnal (80%%, period 100k). *)
 
-val sweep :
-  ?seed:int ->
-  ?procs:int ->
-  ?width:int ->
-  ?shard_counts:int list ->
-  ?steal_probes:int ->
-  ?policy:Adapt.policy ->
-  ?grace:int ->
-  ?sessions:int ->
-  ?regimes:Arrivals.regime list ->
-  unit ->
-  point list
-(** The cross product regimes (default {!default_regimes} at mean gap
-    800) x shard counts (default [[1; 8]]), one {!run} each. *)
+val to_json : point -> Report.json
+(** One BENCH_service.json point. *)

@@ -30,3 +30,43 @@ let run ?chrome_level ~procs f =
   in
   let value = Etrace.with_tracing (Etrace.tee sinks) f in
   { value; attribution = Etrace.Attribution.summarize attr; chrome }
+
+type report = {
+  text : string;
+  failures : string list;
+  validated : Etrace.Chrome.stats option;
+}
+
+(* The traced produce-consume report bench/main.exe and etrees_run
+   trace print: the attribution table, its books check and the Chrome
+   timeline written to [out], read back and validated when asked. *)
+let report ~name ~workload ?out ?(validate = true) t =
+  let a = t.attribution in
+  let books =
+    if Etrace.Attribution.check a then []
+    else
+      [
+        Printf.sprintf "attribution books do not balance (%d/%d cycles)"
+          a.Etrace.Attribution.attributed_cycles
+          a.Etrace.Attribution.total_cycles;
+      ]
+  in
+  let validated, failures =
+    match (t.chrome, out) with
+    | Some c, Some file -> (
+        Etrace.Chrome.write ~file c;
+        if not validate then (None, books)
+        else
+          match Etrace.Chrome.validate_file file with
+          | Ok st -> (Some st, books)
+          | Error e ->
+              ( None,
+                books
+                @ [ Printf.sprintf "%s fails trace validation: %s" file e ] ))
+    | _ -> (None, books)
+  in
+  let title =
+    Printf.sprintf "Cycle attribution: %s, W=%d, %d procs" name workload
+      a.Etrace.Attribution.procs
+  in
+  { text = Report.attribution_table ~title a ^ "\n"; failures; validated }

@@ -39,3 +39,4 @@ module Load_sweep = Load_sweep
 module Adapt_sweep = Adapt_sweep
 module Report = Report
 module Traced = Traced
+module Experiment = Experiment

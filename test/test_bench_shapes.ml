@@ -11,10 +11,17 @@
      every static schedule's latency at the lowest load point.
 
    The points are generated in-process at a reduced scale (the same
-   sweep code the bench harness calls), serialized with the harness's
-   field names through Report.write_json, re-read with the hand-rolled
-   Etrace.Json parser, and the claims are evaluated on the re-parsed
-   values — the same path CI consumers of BENCH_adapt.json take. *)
+   sweep code the bench harness calls), serialized with the point
+   types' own encoders through Report.write_json, re-read with the
+   hand-rolled Etrace.Json parser, and the claims are evaluated on the
+   re-parsed values — the same path CI consumers of BENCH_adapt.json
+   take.
+
+   The table group runs every entry of Workloads.Experiment that the
+   @perf gate does not track, at a tiny scale, so their table and JSON
+   code cannot rot unnoticed. Group names stay at most six characters
+   and test names short: Alcotest truncates a test name that does not
+   fit beside the widest group name in an 80-column line. *)
 
 module W = Workloads
 module R = W.Report
@@ -57,15 +64,9 @@ let field_str p name = Option.get (Option.bind (J.member name p) J.to_str)
 
 let test_fig7_shape () =
   let point make =
-    let p = W.Produce_consume.run ~seed:3 ~horizon ~workload:0 ~procs make in
-    R.Obj
-      [
-        ("method", R.Str (make ~procs).W.Pool_obj.name);
-        ("workload", R.Int 0);
-        ("procs", R.Int p.W.Produce_consume.procs);
-        ("throughput_per_m", R.Int p.W.Produce_consume.throughput_per_m);
-        ("latency", R.Float p.W.Produce_consume.latency);
-      ]
+    W.Produce_consume.to_json ~method_name:(make ~procs).W.Pool_obj.name
+      ~workload:0
+      (W.Produce_consume.run ~seed:3 ~horizon ~workload:0 ~procs make)
   in
   let points =
     write_and_parse ~experiment:"fig7"
@@ -98,47 +99,40 @@ let test_fig7_shape () =
 (* A1: the adaptive crossover                                          *)
 (* ------------------------------------------------------------------ *)
 
+let adapt_point ~method_name ~reactive ~workload ~throughput_per_m ~latency =
+  {
+    W.Adapt_sweep.method_name;
+    reactive;
+    workload;
+    procs;
+    throughput_per_m;
+    latency;
+    lat = Etrace.Histogram.(summary (create ()));
+    elim_rate = None;
+    final_adapt = None;
+  }
+
 let test_adapt_shape () =
   let specs = W.Adapt_sweep.methods () in
   let series =
     W.Adapt_sweep.sweep ~seed:3 ~horizon ~workloads:[ 0; 16_000 ] ~procs specs
   in
   let flat = List.concat series in
-  (* Serialize with the bench harness's field names... *)
+  (* Serialize with the bench harness's encoder... *)
   let points =
-    write_and_parse ~experiment:"adapt"
-      (List.map
-         (fun (p : W.Adapt_sweep.point) ->
-           R.Obj
-             [
-               ("method", R.Str p.method_name);
-               ("reactive", R.Bool p.reactive);
-               ("workload", R.Int p.workload);
-               ("procs", R.Int p.procs);
-               ("throughput_per_m", R.Int p.throughput_per_m);
-               ("latency", R.Float p.latency);
-             ])
-         flat)
+    write_and_parse ~experiment:"adapt" (List.map W.Adapt_sweep.to_json flat)
   in
   check_int "every sweep point round-trips" (List.length flat)
     (List.length points);
   (* ...and evaluate the shape claims on the RE-PARSED values only. *)
-  let dummy_lat = Etrace.Histogram.(summary (create ())) in
   let reparsed =
     List.map
       (fun p ->
-        {
-          W.Adapt_sweep.method_name = field_str p "method";
-          reactive =
-            Option.get (Option.bind (J.member "reactive" p) J.to_bool);
-          workload = field_int p "workload";
-          procs = field_int p "procs";
-          throughput_per_m = field_int p "throughput_per_m";
-          latency = field_num p "latency";
-          lat = dummy_lat;
-          elim_rate = None;
-          final_adapt = None;
-        })
+        adapt_point ~method_name:(field_str p "method")
+          ~reactive:(Option.get (Option.bind (J.member "reactive" p) J.to_bool))
+          ~workload:(field_int p "workload")
+          ~throughput_per_m:(field_int p "throughput_per_m")
+          ~latency:(field_num p "latency"))
       points
   in
   check_bool
@@ -157,21 +151,10 @@ let test_service_shape () =
   (* The same operating point the bench harness sweeps, at test scale:
      near saturation, one shard collapses while eight keep up. *)
   let point shards =
-    let p =
-      W.Service.run ~seed:3 ~shards ~sessions:4_000
-        ~regime:(W.Arrivals.Poisson { mean_gap = 800 })
-        ()
-    in
-    R.Obj
-      [
-        ("regime", R.Str p.W.Service.regime_name);
-        ("shards", R.Int p.W.Service.shards);
-        ("throughput_per_m", R.Int p.W.Service.throughput_per_m);
-        ("sojourn", R.histogram_json p.W.Service.sojourn);
-        ("steal_hits", R.Int p.W.Service.steal_hits);
-        ( "conservation_ok",
-          R.Bool p.W.Service.conservation.Analysis.Conservation.ok );
-      ]
+    W.Service.to_json
+      (W.Service.run ~seed:3 ~shards ~sessions:4_000
+         ~regime:(W.Arrivals.Poisson { mean_gap = 800 })
+         ())
   in
   let points = write_and_parse ~experiment:"service" [ point 1; point 8 ] in
   check_int "two points" 2 (List.length points);
@@ -217,15 +200,9 @@ let meta_shape ~experiment ~reparsed meta_value =
     (match Benchdb.Db.validate_meta meta_value with
     | Ok () -> true
     | Error e -> Alcotest.failf "meta schema: %s" e);
-  let int_f name =
-    Option.get (Option.bind (J.member name meta_value) J.to_int)
-  in
-  let num_f name =
-    Option.get (Option.bind (J.member name meta_value) J.to_num)
-  in
-  let str_f name =
-    Option.get (Option.bind (J.member name meta_value) J.to_str)
-  in
+  let int_f = field_int meta_value
+  and num_f = field_num meta_value
+  and str_f = field_str meta_value in
   check_bool "meta experiment tag matches" true
     (str_f "experiment" = experiment);
   check_bool "toolchain carries the compiler version" true
@@ -258,17 +235,10 @@ let test_chaos_meta_shape () =
       (fun ~procs -> W.Methods.etree_pool ~procs ())
   in
   let meta = R.Meta.json (R.Meta.stop probe ~experiment:"chaos" ~seed:3) in
-  let point =
-    R.Obj
-      [
-        ("method", R.Str p.W.Chaos.method_name);
-        ("procs", R.Int p.W.Chaos.procs);
-        ("throughput_per_m", R.Int p.W.Chaos.throughput_per_m);
-        ( "conservation_ok",
-          R.Bool p.W.Chaos.conservation.Analysis.Conservation.ok );
-      ]
+  let reparsed =
+    write_and_parse_report ~meta ~experiment:"chaos"
+      [ W.Chaos.to_json ~level:0 ~label:"none" p ]
   in
-  let reparsed = write_and_parse_report ~meta ~experiment:"chaos" [ point ] in
   check_bool "fault-free chaos point conserves tokens" true
     p.W.Chaos.conservation.Analysis.Conservation.ok;
   meta_shape ~experiment:"chaos" ~reparsed
@@ -282,20 +252,72 @@ let test_adapt_meta_shape () =
       specs
   in
   let meta = R.Meta.json (R.Meta.stop probe ~experiment:"adapt" ~seed:3) in
-  let points =
-    List.map
-      (fun (p : W.Adapt_sweep.point) ->
-        R.Obj
-          [
-            ("method", R.Str p.method_name);
-            ("workload", R.Int p.workload);
-            ("throughput_per_m", R.Int p.throughput_per_m);
-          ])
-      (List.concat series)
+  let reparsed =
+    write_and_parse_report ~meta ~experiment:"adapt"
+      (List.map W.Adapt_sweep.to_json (List.concat series))
   in
-  let reparsed = write_and_parse_report ~meta ~experiment:"adapt" points in
   meta_shape ~experiment:"adapt" ~reparsed
     (Option.get (J.member "meta" reparsed))
+
+(* Gc.quick_stat counts minor words only up to the last minor
+   collection, so two probes around runs that allocate the same read
+   different counts; the probe must not. *)
+let test_meta_minor_words_exact () =
+  let run () =
+    ignore
+      (W.Produce_consume.run ~seed:1 ~horizon:5_000 ~workload:0 ~procs:16
+         (fun ~procs -> W.Methods.etree_pool ~procs ()))
+  in
+  run ();
+  let probe () =
+    let p = R.Meta.start () in
+    run ();
+    (R.Meta.stop p ~experiment:"fig7" ~seed:1).R.Meta.minor_words
+  in
+  let a = probe () in
+  let b = probe () in
+  Alcotest.(check (float 0.0)) "same run, same minor words" a b
+
+(* ------------------------------------------------------------------ *)
+(* The experiment table                                                *)
+(* ------------------------------------------------------------------ *)
+
+let tiny =
+  { W.Experiment.quick with horizon = 5_000; counts = [ 4; 16 ]; rt_total = 64 }
+
+(* @perf runs the tracked entries at quick scale; every other entry
+   runs here. *)
+let untracked (e : W.Experiment.t) = not e.W.Experiment.tracked
+
+let test_experiment (e : W.Experiment.t) () =
+  let o = e.W.Experiment.run tiny in
+  check_bool "prints its tables" true (String.length o.W.Experiment.text > 0);
+  (match o.W.Experiment.points with
+  | Some points ->
+      check_bool "writes JSON points" true (points <> []);
+      check_int "every point round-trips" (List.length points)
+        (List.length (write_and_parse ~experiment:e.W.Experiment.name points))
+  | None -> ());
+  Alcotest.(check (list string))
+    "no verdict failures" [] o.W.Experiment.failures
+
+let test_adapt_verdict () =
+  let at ~workload ~static ~reactive =
+    [
+      adapt_point ~method_name:"s" ~reactive:false ~workload
+        ~throughput_per_m:(fst static) ~latency:(snd static);
+      adapt_point ~method_name:"r" ~reactive:true ~workload
+        ~throughput_per_m:(fst reactive) ~latency:(snd reactive);
+    ]
+  in
+  let low = at ~workload:16_000 ~static:(100, 500.0) ~reactive:(100, 400.0) in
+  Alcotest.(check (list string)) "reactive on par: no failure" []
+    (W.Adapt_sweep.shape_failures
+       (at ~workload:0 ~static:(1000, 200.0) ~reactive:(960, 200.0) @ low));
+  Alcotest.(check int) "reactive trails the best static at saturation" 1
+    (List.length
+       (W.Adapt_sweep.shape_failures
+          (at ~workload:0 ~static:(1000, 200.0) ~reactive:(900, 200.0) @ low)))
 
 let () =
   Alcotest.run "bench_shapes"
@@ -314,5 +336,15 @@ let () =
             test_chaos_meta_shape;
           Alcotest.test_case "adapt: meta block shape" `Quick
             test_adapt_meta_shape;
+          Alcotest.test_case "minor words are exact" `Quick
+            test_meta_minor_words_exact;
         ] );
+      ( "table",
+        Alcotest.test_case "adapt: reactive trailing fails" `Quick
+          test_adapt_verdict
+        :: List.map
+             (fun (e : W.Experiment.t) ->
+               Alcotest.test_case e.W.Experiment.name `Quick
+                 (test_experiment e))
+             (List.filter untracked W.Experiment.all) );
     ]

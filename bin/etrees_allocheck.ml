@@ -38,6 +38,7 @@ let default_roots =
     "Engine_impl.fetch_and_add";
     "Engine_impl.delay";
     "Engine_impl.cpu_relax";
+    "Engine_impl.spin_until";
     "Engine_impl.random_int";
     "Engine_impl.random_bernoulli";
     "Engine_impl.now";

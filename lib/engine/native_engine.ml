@@ -79,6 +79,14 @@ let random_bernoulli ~num ~den =
 
 let cpu_relax = Domain.cpu_relax
 
+let rec spin_until c until =
+  let v = Atomic.get c in
+  if until v then v
+  else begin
+    Domain.cpu_relax ();
+    spin_until c until
+  end
+
 let delay n =
   for _ = 1 to n do
     Domain.cpu_relax ()

@@ -95,6 +95,16 @@ module type S = sig
   val cpu_relax : unit -> unit
   (** A minimal backoff hint, cheaper than [delay 1] natively. *)
 
+  val spin_until : 'a cell -> ('a -> bool) -> 'a
+  (** [spin_until c until] reads [c] until [until] holds of the value
+      read, with a {!cpu_relax} between reads, and returns that value:
+      a spin-wait on a flag another processor writes.  Natively it is
+      exactly that loop over [Domain.cpu_relax].  The simulator charges
+      the same read and [cpu_relax] per iteration but runs the loop in
+      its scheduler, resuming the processor only once a read satisfies
+      [until].  So [until] must be a pure host function of the value:
+      it may not perform engine operations or touch shared state. *)
+
   val random_int : int -> int
   (** [random_int n] draws uniformly from [0, n) using the calling
       processor's private stream (no cross-processor synchronization). *)

@@ -53,14 +53,7 @@ module Make (E : Engine.S) = struct
               else begin
                 (* A claimant beat our withdrawal: its reply is one
                    write away.  Spin for it. *)
-                let rec await () =
-                  match E.get mine.reply with
-                  | Some payload -> payload
-                  | None ->
-                      E.cpu_relax ();
-                      await ()
-                in
-                Some (await ())
+                E.spin_until mine.reply Option.is_some
               end
         end)
 end

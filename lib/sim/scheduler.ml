@@ -22,6 +22,16 @@
    processor's event off the queue before running it, and its next
    [park] appends a new one.
 
+   A spin-wait ([Engine.S.spin_until], the [Spin] effect) is one parked
+   slot for the whole wait.  The scheduler runs the loop itself: when a
+   read fails the predicate it re-parks the same slot for the
+   [cpu_relax], marking the effect [pausing], and when that ends, for
+   the next read.  Each step issues, charges, traces and takes its seq
+   exactly as the resumed processor's [get] or [cpu_relax] would have,
+   so a run is event-for-event the hand-written loop.  What changes is
+   host cost: the processor resumes, and its effect is allocated, once
+   per wait instead of twice per iteration.
+
    An operation's side effect executes when its event fires ([commit]),
    not when it is issued: operations therefore linearize in
    completion-time order, and per-location serialization (see {!Memory})
@@ -39,6 +49,14 @@ type _ Effect.t +=
   | Cas : 'a Memory.cell * 'a * 'a -> bool Effect.t
   | Faa : int Memory.cell * int -> int Effect.t
   | Delay : int -> unit Effect.t  (* local computation / spin-waiting *)
+  | Spin : {
+      cell : 'a Memory.cell;
+      until : 'a -> bool;
+      mutable pausing : bool;  (* in the Delay 1 after a failed read *)
+    }
+      -> 'a Effect.t
+      (* spin_until, one per wait: reads until [until] holds, a Delay 1
+         between *)
 
 type slot =
   | Idle  (* no pending event: running, finished or crashed *)
@@ -47,14 +65,14 @@ type slot =
 
 (* Controlled scheduling (etrees.check).  A controller takes over every
    scheduling decision: instead of firing events in (time, seq) order,
-   local steps (proc starts, delays) are fired eagerly, and whenever
-   every live processor is parked on a shared-memory access the
-   controller picks which one commits next.  Each decision commits
-   exactly one access, so the chosen pid sequence fully determines the
-   interleaving — the substrate for the stateless model checker in
-   lib/check.  The controller is handed the runnable pids as a bitmask
-   and reads each one's access from its slot ([pending_loc],
-   [pending_kind]), so a decision allocates nothing. *)
+   local steps (proc starts, delays, a spinner's pauses) are fired
+   eagerly, and whenever every live processor is parked on a
+   shared-memory access the controller picks which one commits next.
+   Each decision commits exactly one access, so the chosen pid sequence
+   fully determines the interleaving — the substrate for the stateless
+   model checker in lib/check.  The controller is handed the runnable
+   pids as a bitmask and reads each one's access from its slot
+   ([pending_loc], [pending_kind]), so a decision allocates nothing. *)
 
 type access_kind = Acc_read | Acc_write | Acc_rmw
 
@@ -143,17 +161,20 @@ let loc_of : type a. a Effect.t -> Memory.loc = function
   | Exchange (c, _) -> c.Memory.loc
   | Cas (c, _, _) -> c.Memory.loc
   | Faa (c, _) -> c.Memory.loc
+  | Spin s -> s.cell.Memory.loc
   | _ -> invalid_arg "Sim: not a memory effect"
 
 let mem_kind : type a. a Effect.t -> Etrace.Event.mem_kind = function
-  | Get _ -> Etrace.Event.Read
+  | Get _ | Spin _ -> Etrace.Event.Read
   | Set _ -> Etrace.Event.Write
   | _ -> Etrace.Event.Rmw
 
 (* What a controller sees of a parked processor: the location and kind
-   of the access it will commit. *)
+   of the access it will commit.  A spinning slot in its pause has
+   none. *)
 let pending_loc t p =
   match t.slots.(p) with
+  | Parked (_, Spin s) when s.pausing -> invalid_arg "Sim: no pending access"
   | Parked (_, eff) -> loc_of eff
   | Idle | Start -> invalid_arg "Sim: no pending access"
 
@@ -162,11 +183,14 @@ let pending_kind t p =
   | Parked (_, Get _) -> Acc_read
   | Parked (_, Set _) -> Acc_write
   | Parked (_, (Exchange _ | Cas _ | Faa _)) -> Acc_rmw
+  | Parked (_, Spin s) when not s.pausing -> Acc_read
   | Idle | Start | Parked _ -> invalid_arg "Sim: no pending access"
 
-(* A parked event a controller does not decide: a start or a delay. *)
+(* A parked event a controller does not decide: a start or a pause — a
+   delay, or a spinning slot's [cpu_relax]. *)
 let is_local = function
   | Start | Parked (_, Delay _) -> true
+  | Parked (_, Spin s) -> s.pausing
   | Idle | Parked _ -> false
 
 (* Park [p]'s next event, due at [time]: into [pending] under a
@@ -181,79 +205,93 @@ let park t p time op =
   | None -> Event_wheel.push t.queue ~time ~seq:t.seq p);
   t.seq <- t.seq + 1
 
-(* [p] performed [eff] now: charge it — a serialized access queues
-   behind its location — and park it until it completes. *)
-let issue (type a) t p (k : (a, unit) continuation) (eff : a Effect.t) =
+(* [p] issues a [Delay n] now: charge it, with the injector's jitter,
+   and return when it ends. *)
+let delay_due t p n =
   let now = t.clock in
   t.issued.(p) <- now;
-  match eff with
-  | Delay n ->
-      let n = if n < 1 then 1 else n in
-      let n =
-        match t.injector with
-        | None -> n
-        | Some inj ->
-            let j = inj.delay_jitter ~pid:p ~now ~base:n in
-            if j > 0 then n + j else n
-      in
-      t.finish.(p) <- now + n;
-      park t p (now + n) (Parked (k, eff))
-  | _ ->
-      let loc = loc_of eff and cfg = t.config in
-      let base =
-        match eff with
-        | Get _ -> cfg.read_latency
-        | Set _ -> cfg.write_latency
-        | _ -> cfg.rmw_latency
-      in
-      let latency =
-        match t.injector with
-        | None -> base
-        | Some inj ->
-            let l = inj.mem_latency ~loc ~pid:p ~now ~base in
-            if l < 1 then 1 else l
-      in
-      let serialized =
-        match eff with Get _ -> cfg.reads_serialize | _ -> true
-      in
-      let begins =
-        if serialized && loc.Memory.busy_until > now then loc.Memory.busy_until
-        else now
-      in
-      let finish = begins + latency in
-      if serialized then begin
-        t.queue_wait <- t.queue_wait + (begins - now);
-        (* Analysis hook: observe the new service window while [loc]'s
-           pending stamp still describes the previous one (overlap would
-           mean a broken busy-until chain), then stamp. *)
-        (match !Memory.tracer with
-        | Some tr -> tr.Memory.on_issue loc ~pid:p ~now ~begins ~finish
-        | None -> ());
-        Memory.issue_stamp loc ~pid:p ~begins ~finish;
-        loc.Memory.busy_until <- finish
-      end;
-      t.begins.(p) <- begins;
-      t.finish.(p) <- finish;
-      park t p finish (Parked (k, eff))
+  let n = if n < 1 then 1 else n in
+  let n =
+    match t.injector with
+    | None -> n
+    | Some inj ->
+        let j = inj.delay_jitter ~pid:p ~now ~base:n in
+        if j > 0 then n + j else n
+  in
+  t.finish.(p) <- now + n;
+  now + n
+
+(* [p] issues an access to [loc] now, costing [base]: charge it — a
+   [serialized] access queues behind its location — and return when it
+   completes. *)
+let access_due t p (loc : Memory.loc) ~base ~serialized =
+  let now = t.clock in
+  t.issued.(p) <- now;
+  let latency =
+    match t.injector with
+    | None -> base
+    | Some inj ->
+        let l = inj.mem_latency ~loc ~pid:p ~now ~base in
+        if l < 1 then 1 else l
+  in
+  let begins =
+    if serialized && loc.Memory.busy_until > now then loc.Memory.busy_until
+    else now
+  in
+  let finish = begins + latency in
+  if serialized then begin
+    t.queue_wait <- t.queue_wait + (begins - now);
+    (* Analysis hook: observe the new service window while [loc]'s
+       pending stamp still describes the previous one (overlap would
+       mean a broken busy-until chain), then stamp. *)
+    (match !Memory.tracer with
+    | Some tr -> tr.Memory.on_issue loc ~pid:p ~now ~begins ~finish
+    | None -> ());
+    Memory.issue_stamp loc ~pid:p ~begins ~finish;
+    loc.Memory.busy_until <- finish
+  end;
+  t.begins.(p) <- begins;
+  t.finish.(p) <- finish;
+  finish
+
+let read_due t p (c : _ Memory.cell) =
+  access_due t p c.Memory.loc ~base:t.config.read_latency
+    ~serialized:t.config.reads_serialize
+
+(* [p] performed [eff] now: charge it and park it until it completes. *)
+let issue (type a) t p (k : (a, unit) continuation) (eff : a Effect.t) =
+  let cfg = t.config in
+  let time =
+    match eff with
+    | Delay n -> delay_due t p n
+    | Spin s -> read_due t p s.cell
+    | Get c -> read_due t p c
+    | Set (c, _) ->
+        access_due t p c.Memory.loc ~base:cfg.write_latency ~serialized:true
+    | _ -> access_due t p (loc_of eff) ~base:cfg.rmw_latency ~serialized:true
+  in
+  park t p time (Parked (k, eff))
 
 let emit_fired (type a) t p (eff : a Effect.t) =
   let issued = t.issued.(p) and fired = t.clock in
+  let pause =
+    match eff with Delay _ -> true | Spin s -> s.pausing | _ -> false
+  in
   Etrace.emit
-    (match eff with
-    | Delay _ ->
-        Etrace.Event.Delay_done
-          { pid = p; issued; planned = t.finish.(p) - issued; fired }
-    | _ ->
-        Etrace.Event.Mem_op
-          {
-            pid = p;
-            kind = mem_kind eff;
-            loc = (loc_of eff).Memory.id;
-            issued;
-            begins = t.begins.(p);
-            finish = t.finish.(p);
-            fired;
-          })
+    (if pause then
+       Etrace.Event.Delay_done
+         { pid = p; issued; planned = t.finish.(p) - issued; fired }
+     else
+       Etrace.Event.Mem_op
+         {
+           pid = p;
+           kind = mem_kind eff;
+           loc = (loc_of eff).Memory.id;
+           issued;
+           begins = t.begins.(p);
+           finish = t.finish.(p);
+           fired;
+         })
 
 (* Stamp a committed mutation, and let an installed tracer see it. *)
 let stamp t p c = Memory.commit_stamp c ~pid:p ~time:t.clock ~seq:t.seqs.(p)
@@ -263,21 +301,44 @@ let observe_commit t p c ~clean =
   | Some tr -> tr.Memory.on_commit c.Memory.loc ~pid:p ~time:t.clock ~clean
   | None -> ()
 
-(* Fire [p]'s parked operation: its memory semantics take effect now,
-   each mutation after the raw-write check of the cell's shadow, and
-   [p] resumes with the result. *)
-let commit (type a) t p (k : (a, unit) continuation) (eff : a Effect.t) =
+let observe_read t p c =
+  match !Memory.tracer with
+  | Some tr ->
+      tr.Memory.on_read c.Memory.loc ~pid:p ~issued:t.issued.(p)
+        ~fired:t.clock ~serialized:t.config.reads_serialize
+        ~clean:(Memory.shadow_clean c)
+  | None -> ()
+
+(* Fire [p]'s parked operation, [slot]: its memory semantics take
+   effect now, each mutation after the raw-write check of the cell's
+   shadow, and [p] resumes with the result.  A spinning slot resumes
+   only on a read that satisfies its predicate; otherwise it re-parks
+   the same [slot] for its [cpu_relax], and after that for its next
+   read — the events, seqs, counters and tracer calls of the
+   hand-written [get]/[cpu_relax] loop, without running the
+   processor. *)
+let commit (type a) t p slot (k : (a, unit) continuation) (eff : a Effect.t) =
   if Etrace.on Etrace.lv_full then emit_fired t p eff;
   match eff with
   | Delay _ -> continue k ()
   | Get c ->
-      (match !Memory.tracer with
-      | Some tr ->
-          tr.Memory.on_read c.Memory.loc ~pid:p ~issued:t.issued.(p)
-            ~fired:t.clock ~serialized:t.config.reads_serialize
-            ~clean:(Memory.shadow_clean c)
-      | None -> ());
+      observe_read t p c;
       continue k c.Memory.v
+  | Spin s ->
+      if s.pausing then begin
+        s.pausing <- false;
+        t.op_reads <- t.op_reads + 1;
+        park t p (read_due t p s.cell) slot
+      end
+      else begin
+        observe_read t p s.cell;
+        let v = s.cell.Memory.v in
+        if s.until v then continue k v
+        else begin
+          s.pausing <- true;
+          park t p (delay_due t p 1) slot
+        end
+      end
   | Set (c, x) ->
       let clean = Memory.shadow_clean c in
       c.Memory.v <- x;
@@ -332,7 +393,7 @@ let handler t p =
     effc =
       (fun (type b) (eff : b Effect.t) ->
         match eff with
-        | Get _ | Set _ | Exchange _ | Cas _ | Faa _ | Delay _ ->
+        | Get _ | Set _ | Exchange _ | Cas _ | Faa _ | Delay _ | Spin _ ->
             Some (fun (k : (b, _) continuation) -> issue t p k eff)
         | _ -> None);
   }
@@ -343,7 +404,7 @@ let fire t p =
   t.slots.(p) <- Idle;
   t.current <- p;
   match slot with
-  | Parked (k, eff) -> commit t p k eff
+  | Parked (k, eff) -> commit t p slot k eff
   | Start ->
       if Etrace.on Etrace.lv_ops then
         Etrace.emit (Etrace.Event.Proc_start { pid = p; time = t.clock });

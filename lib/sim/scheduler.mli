@@ -20,6 +20,12 @@
     fired processor's event off the queue, and its next {!park}
     appends.
 
+    A spin-wait is one {!Spin} effect: its slot stays parked while the
+    scheduler alternates the read and the [Delay 1] itself, with the
+    events, seqs, counters and tracer calls of the hand-written
+    [get]/[cpu_relax] loop, and resumes the processor only on a read
+    that satisfies the predicate.
+
     This module is the simulator's engine room; user code should go
     through [Sim.run] and [Sim.Engine]. *)
 
@@ -38,6 +44,19 @@ type _ Effect.t +=
       (** compare-and-set, by physical equality *)
   | Faa : int Memory.cell * int -> int Effect.t
   | Delay : int -> unit Effect.t  (** local computation / spin-waiting *)
+  | Spin : {
+      cell : 'a Memory.cell;
+      until : 'a -> bool;
+      mutable pausing : bool;
+          (** set by the scheduler while the slot is in its [Delay 1];
+              a wait starts with it clear *)
+    }
+      -> 'a Effect.t
+      (** [spin_until]: one effect per wait.  Its slot alternates a read
+          of the cell, charged as a [Get], and a [Delay 1] issued when a
+          read fails the predicate; the processor resumes with the first
+          value that satisfies it.  The predicate runs in the scheduler,
+          outside any processor. *)
 
 (** A processor's pending event. *)
 type slot =
@@ -51,12 +70,12 @@ type slot =
     A {!controller} takes over every scheduling decision, turning the
     simulator into the substrate for a stateless model checker: each
     processor's pending event stays in its slot instead of the event
-    queue, local steps (proc starts, delays) fire eagerly in pid order,
-    and whenever every live processor is parked on a shared-memory
-    access the controller picks which one commits next.  Each decision
-    commits exactly one access, so the chosen pid sequence fully
-    determines the interleaving — runs are replayable from the pid
-    sequence alone. *)
+    queue, local steps (proc starts, delays, a spinner's pauses) fire
+    eagerly in pid order, and whenever every live processor is parked
+    on a shared-memory access the controller picks which one commits
+    next.  Each decision commits exactly one access, so the chosen pid
+    sequence fully determines the interleaving — runs are replayable
+    from the pid sequence alone. *)
 
 type access_kind = Acc_read | Acc_write | Acc_rmw
 
@@ -81,8 +100,8 @@ type injector = {
   on_event : pid:int -> time:int -> fault_action;
       (** consulted every time one of [pid]'s events is about to fire *)
   mem_latency : loc:Memory.loc -> pid:int -> now:int -> base:int -> int;
-      (** service-cost multiplier hook (hot spots, latency spikes);
-          must return [>= base >= 1]'s spirit — values [< 1] are
+      (** the service cost of an access of base cost [base] issued at
+          [now] (hot spots, latency spikes); a result below 1 is
           clamped to 1 *)
   delay_jitter : pid:int -> now:int -> base:int -> int;
       (** extra cycles added to a [Delay base] issued at [now] *)
@@ -151,8 +170,9 @@ val the_sched : unit -> t
 val pending_loc : t -> int -> Memory.loc
 (** The location processor [p]'s parked access will commit to.  Its
     epoch stamps (see {!Memory.loc}) let a controller detect
-    unchanged-location polling.  Raises [Invalid_argument] if [p] is
-    not parked on an access. *)
+    unchanged-location polling.  A spinning processor is parked on an
+    access, a read of its cell, only between pauses.  Raises
+    [Invalid_argument] if [p] is not parked on an access. *)
 
 val pending_kind : t -> int -> access_kind
 (** The kind of processor [p]'s parked access; raises like

@@ -30,9 +30,7 @@ module Make (E : Engine.S) = struct
     let n = Array.length t.flags in
     let slot = E.fetch_and_add t.next_ticket 1 mod n in
     t.my_slot.(E.pid ()) <- slot;
-    while not (E.get t.flags.(slot)) do
-      E.cpu_relax ()
-    done
+    ignore (E.spin_until t.flags.(slot) Fun.id)
 
   let release t =
     let n = Array.length t.flags in

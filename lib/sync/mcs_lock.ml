@@ -50,9 +50,7 @@ module Make (E : Engine.S) = struct
         if Etrace.on Etrace.lv_events then
           Etrace.emit
             (Etrace.Event.Spin_begin { pid = E.pid (); time = E.now () });
-        while E.get node.locked do
-          E.cpu_relax ()
-        done;
+        ignore (E.spin_until node.locked not);
         if Etrace.on Etrace.lv_events then
           Etrace.emit (Etrace.Event.Spin_end { pid = E.pid (); time = E.now () })
 
@@ -65,17 +63,11 @@ module Make (E : Engine.S) = struct
         else begin
           (* A successor is between its exchange and linking in: wait
              for the link, then hand over. *)
-          let rec hand_over () =
-            match E.get node.next with
-            | None ->
-                E.cpu_relax ();
-                hand_over ()
-            | Some succ -> E.set succ.locked false
-          in
           if Etrace.on Etrace.lv_events then
             Etrace.emit
               (Etrace.Event.Spin_begin { pid = E.pid (); time = E.now () });
-          hand_over ();
+          let succ = Option.get (E.spin_until node.next Option.is_some) in
+          E.set succ.locked false;
           if Etrace.on Etrace.lv_events then
             Etrace.emit
               (Etrace.Event.Spin_end { pid = E.pid (); time = E.now () })

@@ -14,11 +14,8 @@ module Make (E : Engine.S) = struct
   let acquire t =
     let b = Backoff.create () in
     let rec attempt () =
-      if E.get t then begin
-        E.cpu_relax ();
-        attempt ()
-      end
-      else if E.compare_and_set t false true then ()
+      ignore (E.spin_until t not);
+      if E.compare_and_set t false true then ()
       else begin
         Backoff.once b;
         attempt ()

@@ -76,6 +76,30 @@ let test_pids_distinct_and_recycled () =
       again
   done
 
+(* One domain waits for the value another writes, and gets that very
+   value back: the cell passes through [None] and a decoy first. *)
+let test_spin_until () =
+  let c = E.cell None and ready = Atomic.make false in
+  let value = Some 42 in
+  let got =
+    spawn_all
+      [
+        (fun () ->
+          Atomic.set ready true;
+          E.spin_until c (function Some v -> v > 0 | None -> false));
+        (fun () ->
+          while not (Atomic.get ready) do
+            Domain.cpu_relax ()
+          done;
+          E.set c (Some 0);
+          E.set c value;
+          None);
+      ]
+  in
+  match got with
+  | [ w; _ ] -> check_bool "the written value, physically" true (w == value)
+  | _ -> assert false
+
 let test_random_bounds () =
   let ok = ref true in
   let _ =
@@ -103,6 +127,22 @@ let test_native_mcs_lock () =
              Native.Mcs_lock.with_lock lock (fun () ->
                  (* Non-atomic increment: lost updates expose any
                     mutual-exclusion failure. *)
+                 let v = !counter in
+                 Domain.cpu_relax ();
+                 counter := v + 1)
+           done))
+  in
+  check_int "no lost updates" (domains * iters) !counter
+
+let test_native_tas_lock () =
+  let lock = Native.Tas_lock.create () in
+  let counter = ref 0 in
+  let domains = 4 and iters = 2_000 in
+  let _ =
+    spawn_all
+      (List.init domains (fun _ () ->
+           for _ = 1 to iters do
+             Native.Tas_lock.with_lock lock (fun () ->
                  let v = !counter in
                  Domain.cpu_relax ();
                  counter := v + 1)
@@ -327,10 +367,12 @@ let () =
           Alcotest.test_case "pids distinct and recycled" `Quick
             test_pids_distinct_and_recycled;
           Alcotest.test_case "random bounds" `Quick test_random_bounds;
+          Alcotest.test_case "spin_until" `Quick test_spin_until;
         ] );
       ( "sync",
         [
           Alcotest.test_case "mcs lock" `Quick test_native_mcs_lock;
+          Alcotest.test_case "tas lock" `Quick test_native_tas_lock;
           Alcotest.test_case "mcs counter" `Quick test_native_mcs_counter;
           Alcotest.test_case "combining tree" `Quick test_native_combining_tree;
           Alcotest.test_case "dtree counter" `Quick test_native_dtree_counter;

@@ -525,10 +525,412 @@ let test_second_park_rejected () =
   check_bool "second pending event rejected" true !rejected
 
 (* ------------------------------------------------------------------ *)
-(* Lazily materialised cell arrays                                     *)
+(* Spin-waits                                                          *)
 (* ------------------------------------------------------------------ *)
 
 module M = Sim.Memory
+
+(* The loop [E.spin_until] stands for, written out: the reference the
+   scheduler's spinning slot must be indistinguishable from. *)
+let rec spin_loop c until =
+  let v = E.get c in
+  if until v then v
+  else begin
+    E.cpu_relax ();
+    spin_loop c until
+  end
+
+(* Collect every trace event of [f] at the full level. *)
+let traced f =
+  let events = ref [] in
+  let r = Etrace.with_tracing (fun e -> events := e :: !events) f in
+  (r, List.rev !events)
+
+(* Is [p]'s parked event a spin-wait's pause? *)
+let pausing (t : Sim.Scheduler.t) p =
+  match t.slots.(p) with
+  | Parked (_, Sim.Scheduler.Spin s) -> s.pausing
+  | _ -> false
+
+(* The last event [p] fired before the horizon: a read or a pause. *)
+let last_fired p events =
+  List.fold_left
+    (fun acc e ->
+      match e with
+      | Etrace.Event.Mem_op { pid; _ } when pid = p -> `Read
+      | Etrace.Event.Delay_done { pid; _ } when pid = p -> `Pause
+      | _ -> acc)
+    `None events
+
+(* A lone spinner on a flag nobody sets: reads fire at 7k + 6 (default
+   read latency 6) and pauses at 7k + 7, so a horizon of 7m + 3 cuts
+   the wait off in its read phase, and 7m + 6 in its pause (the read
+   due at the horizon still fires). *)
+let test_spin_abort_phases () =
+  List.iter
+    (fun (horizon, last, phase) ->
+      let flag = E.cell false and unwound = ref 0 in
+      let stats, events =
+        traced (fun () ->
+            Sim.run ~procs:1 ~abort_after:horizon (fun _ ->
+                try ignore (E.spin_until flag Fun.id)
+                with Sim.Aborted as e ->
+                  incr unwound;
+                  raise e))
+      in
+      check_int (phase ^ ": unwound once") 1 !unwound;
+      check_int (phase ^ ": counted aborted once") 1 stats.aborted_procs;
+      check_bool (phase ^ ": the last event fired") true
+        (last_fired 0 events = last);
+      check_int (phase ^ ": one read per started iteration")
+        ((horizon / 7) + 1) stats.reads)
+    [ (7 * 5 + 3, `Pause, "read phase"); (7 * 5 + 6, `Read, "pause") ]
+
+(* Processor 0 spins inside a critical section and crashes in a pause:
+   its handlers never run, so the lock stays held and processor 1,
+   arriving later, spins on it until the horizon. *)
+module Sim_mcs = Sync.Mcs_lock.Make (Sim.Engine)
+
+let test_spin_crash_in_pause () =
+  let lock = Sim_mcs.create ~capacity:2 () and flag = E.cell false in
+  let cleaned_up = ref false and entered = ref false in
+  let on_event ~pid ~time =
+    if pid = 0 && time >= 40 && pausing (Sim.Scheduler.the_sched ()) 0 then
+      Sim.Scheduler.Fault_drop
+    else Sim.Scheduler.Fault_proceed
+  in
+  let injector = { Sim.Scheduler.no_injector with on_event } in
+  let stats =
+    Sim.run ~injector ~procs:2 ~abort_after:2_000 (fun p ->
+        if p = 0 then
+          Sim_mcs.with_lock lock (fun () ->
+              Fun.protect
+                ~finally:(fun () -> cleaned_up := true)
+                (fun () -> ignore (E.spin_until flag Fun.id)))
+        else begin
+          E.delay 100;
+          Sim_mcs.with_lock lock (fun () -> entered := true)
+        end)
+  in
+  check_int "processor 0 crash-stopped" 1 stats.crashed_procs;
+  check_bool "no handler ran" false !cleaned_up;
+  check_bool "the lock stayed held" false !entered;
+  check_int "processor 1 spun to the horizon" 1 stats.aborted_procs
+
+(* A stall that catches a pause defers it; the pause refires when the
+   stall ends and the next read is issued then.  Pauses are due at
+   7k + 7, so the one at 21 is stalled until 50. *)
+let test_spin_defer_pause () =
+  let flag = E.cell false and woke = ref 0 in
+  let on_event ~pid ~time =
+    if pid = 0 && time = 21 then Sim.Scheduler.Fault_defer 50
+    else Sim.Scheduler.Fault_proceed
+  in
+  let injector = { Sim.Scheduler.no_injector with on_event } in
+  let stats, events =
+    traced (fun () ->
+        Sim.run ~injector ~procs:2 (fun p ->
+            if p = 0 then begin
+              ignore (E.spin_until flag Fun.id);
+              woke := E.now ()
+            end
+            else begin
+              E.delay 100;
+              E.set flag true
+            end))
+  in
+  check_int "one deferral" 1 stats.fault_defers;
+  let p0 =
+    List.filter_map
+      (function
+        | Etrace.Event.Delay_done { pid = 0; issued; fired; _ } ->
+            Some (`Pause, issued, fired)
+        | Etrace.Event.Mem_op { pid = 0; issued; fired; _ } ->
+            Some (`Read, issued, fired)
+        | _ -> None)
+      events
+  in
+  check_bool "the stalled pause refires at the stall's end" true
+    (List.mem (`Pause, 20, 50) p0);
+  check_bool "and the next read is issued then" true
+    (List.mem (`Read, 50, 56) p0);
+  (* The write commits at 108; the first read to fire after it, issued
+     at 50 + 7k and due 6 later, fires at 112. *)
+  check_int "the wait ends on the first read after the write" 112 !woke
+
+(* The predicate runs in the scheduler: an engine operation there has
+   no processor to perform it, and the run fails instead of hanging. *)
+let test_spin_impure_predicate () =
+  let flag = E.cell false and other = E.cell 0 in
+  match
+    Sim.run ~procs:1 ~abort_after:1_000 (fun _ ->
+        ignore (E.spin_until flag (fun _ -> E.get other = 1)))
+  with
+  | _ -> Alcotest.fail "an effect in the predicate went unnoticed"
+  | exception Effect.Unhandled _ -> ()
+
+(* The controller sees a spinner only in its read phase, as an
+   [Acc_read] of its cell; its pause is a local step fired before the
+   next decision.  The injector's view of an uncontrolled run shows the
+   same split from outside. *)
+let test_spin_controller_view () =
+  let decisions = ref 0 and pauses = ref 0 in
+  let body flag p =
+    if p = 0 then ignore (E.spin_until flag Fun.id)
+    else begin
+      E.delay 30;
+      E.set flag true
+    end
+  in
+  let flag = E.cell false in
+  let controller (t : Sim.Scheduler.t) runnable =
+    incr decisions;
+    for p = 0 to 1 do
+      if runnable land (1 lsl p) <> 0 then
+        check_bool "no runnable processor is pausing" false (pausing t p)
+    done;
+    if runnable land 1 <> 0 then begin
+      check_bool "the spinner reads its flag" true
+        (Sim.Scheduler.pending_loc t 0 == flag.M.loc);
+      check_bool "as an Acc_read" true
+        (Sim.Scheduler.pending_kind t 0 = Sim.Scheduler.Acc_read)
+    end;
+    (* Let the spinner fail a few reads before the writer goes. *)
+    Sim.Scheduler.Fire
+      (if runnable land 1 <> 0 && (!decisions < 4 || runnable = 1) then 0
+       else 1)
+  in
+  let (), events =
+    traced (fun () -> ignore (Sim.run ~controller ~procs:2 (body flag)))
+  in
+  List.iter
+    (function Etrace.Event.Delay_done { pid = 0; _ } -> incr pauses | _ -> ())
+    events;
+  check_bool "the spinner paused between reads" true (!pauses >= 3);
+  let phases = ref [] in
+  let on_event ~pid ~time:_ =
+    let t = Sim.Scheduler.the_sched () in
+    (match t.slots.(pid) with
+    | Parked (_, Sim.Scheduler.Spin _) -> (
+        match Sim.Scheduler.pending_kind t pid with
+        | Sim.Scheduler.Acc_read -> phases := `Read :: !phases
+        | _ -> Alcotest.fail "a spin read is not an Acc_read"
+        | exception Invalid_argument _ ->
+            check_bool "only a pause has no access" true (pausing t pid);
+            phases := `Pause :: !phases)
+    | _ -> ());
+    Sim.Scheduler.Fault_proceed
+  in
+  let injector = { Sim.Scheduler.no_injector with on_event } in
+  ignore (Sim.run ~injector ~procs:2 (body (E.cell false)));
+  check_bool "both phases seen" true
+    (List.mem `Read !phases && List.mem `Pause !phases)
+
+(* Model equivalence.  A random spin script runs twice, with
+   [E.spin_until] and with [spin_loop], under the same memory model,
+   fault plan, race detector and horizon; every observable must agree:
+   the run's stats, the full-level trace, the race report and every
+   value a wait returned.  Processors that are unwound wait once more
+   while unwinding, as cleanup code may. *)
+type spin_op =
+  | Op_write of int * int  (* cell, value *)
+  | Op_add of int * int
+  | Op_delay of int
+  | Op_wait of int * int  (* until the cell holds at least this *)
+
+type spin_case = {
+  scripts : spin_op list array;
+  config : int;  (* default, serialized reads, uniform *)
+  plan : int option;  (* a fault plan's seed *)
+  detector : bool;
+  horizon : int;
+}
+
+let spin_cells = 3
+
+let gen_spin_case =
+  let open QCheck.Gen in
+  let cell = int_bound (spin_cells - 1) in
+  let op =
+    frequency
+      [
+        (2, map2 (fun c v -> Op_write (c, v)) cell (int_bound 3));
+        (2, map2 (fun c d -> Op_add (c, d)) cell (int_range 1 2));
+        (1, map (fun d -> Op_delay d) (int_range 1 40));
+        (4, map2 (fun c k -> Op_wait (c, k)) cell (int_range 1 4));
+      ]
+  in
+  let* procs = int_range 1 5 in
+  let* scripts = array_size (return procs) (list_size (int_range 0 6) op) in
+  let* config = int_bound 2 in
+  let* plan = opt (int_bound 10_000) in
+  let* detector = bool in
+  let+ horizon = int_range 20 1_500 in
+  { scripts; config; plan; detector; horizon }
+
+let show_spin_case c =
+  let op = function
+    | Op_write (c, v) -> Printf.sprintf "w%d=%d" c v
+    | Op_add (c, d) -> Printf.sprintf "a%d+%d" c d
+    | Op_delay d -> Printf.sprintf "d%d" d
+    | Op_wait (c, k) -> Printf.sprintf "s%d>=%d" c k
+  in
+  Printf.sprintf "config %d, plan %s, detector %b, horizon %d, scripts [%s]"
+    c.config
+    (match c.plan with Some s -> string_of_int s | None -> "none")
+    c.detector c.horizon
+    (String.concat " | "
+       (Array.to_list
+          (Array.map (fun l -> String.concat " " (List.map op l)) c.scripts)))
+
+let spin_plan ~seed ~procs ~horizon =
+  let module F = Faults.Fault_plan in
+  F.union ~seed
+    [
+      F.stalls ~seed ~procs ~horizon ~count:2 ~cycles:40;
+      F.crashes ~seed ~procs ~horizon ~count:1;
+      F.hotspot ~num:(1 + (seed mod 2)) ~den:2 ~from_:0 ~until_:horizon
+        ~factor:3 ();
+      F.jitter ~from_:0 ~until_:horizon ~amp:3;
+    ]
+
+let run_spin_case ~wait c =
+  let procs = Array.length c.scripts in
+  let config =
+    match c.config with
+    | 0 -> M.default_config
+    | 1 -> M.serialized_reads_config
+    | _ -> M.uniform_config
+  in
+  let injector =
+    Option.map
+      (fun seed ->
+        Faults.Fault_plan.injector
+          (spin_plan ~seed ~procs ~horizon:c.horizon))
+      c.plan
+  in
+  (* Ids relative to this run's first cell, as the injector hashes them. *)
+  let base = M.loc_count () in
+  let cells = Array.init spin_cells (fun _ -> E.cell 0) in
+  let returned = Array.make procs [] in
+  let body p =
+    let step = function
+      | Op_write (i, v) -> E.set cells.(i) v
+      | Op_add (i, d) -> ignore (E.fetch_and_add cells.(i) d)
+      | Op_delay d -> E.delay d
+      | Op_wait (i, k) ->
+          let v = wait cells.(i) (fun v -> v >= k) in
+          returned.(p) <- v :: returned.(p)
+    in
+    try List.iter step c.scripts.(p)
+    with Sim.Aborted as e ->
+      (try ignore (wait cells.(p mod spin_cells) (fun _ -> false))
+       with Sim.Aborted -> ());
+      raise e
+  in
+  let run () =
+    Sim.run ~config ?injector ~abort_after:c.horizon ~procs body
+  in
+  let (stats, report), events =
+    traced (fun () ->
+        if c.detector then
+          let stats, r = Analysis.Race_detector.run run in
+          let races =
+            List.map
+              (fun (x : Analysis.Race_detector.race) ->
+                { x with loc_id = x.loc_id - base; detail = "" })
+              r.races
+          in
+          (stats, Some { r with races })
+        else (run (), None))
+  in
+  let events =
+    List.map
+      (function
+        | Etrace.Event.Mem_op m ->
+            Etrace.Event.Mem_op { m with loc = m.loc - base }
+        | e -> e)
+      events
+  in
+  (stats, events, report, returned)
+
+let prop_spin_model_equivalence =
+  QCheck.Test.make ~name:"spin_until is the get/cpu_relax loop, event for event"
+    ~count:300
+    (QCheck.make ~print:show_spin_case gen_spin_case)
+    (fun c ->
+      run_spin_case ~wait:E.spin_until c = run_spin_case ~wait:spin_loop c)
+
+(* The model checker explores the same interleavings either way: a
+   hand-off two processors complete for a third, and a wait nobody
+   satisfies, which deadlocks. *)
+let spin_programs ~wait =
+  let module X = Check.Explore in
+  let handoff =
+    {
+      X.name = "handoff";
+      procs = 3;
+      prepare =
+        (fun () ->
+          let flag = E.cell 0 and data = E.cell 0 in
+          {
+            X.body =
+              (fun p ->
+                match p with
+                | 0 ->
+                    E.set data 1;
+                    ignore (E.fetch_and_add flag 1)
+                | 1 -> ignore (E.fetch_and_add flag 1)
+                | _ ->
+                    ignore (wait flag (fun v -> v >= 2));
+                    ignore (E.get data));
+            at_quiescence = (fun () -> []);
+          });
+    }
+  in
+  let stuck =
+    {
+      X.name = "stuck";
+      procs = 2;
+      prepare =
+        (fun () ->
+          let flag = E.cell 0 in
+          {
+            X.body =
+              (fun p ->
+                if p = 0 then ignore (wait flag (fun v -> v >= 2))
+                else ignore (E.fetch_and_add flag 1));
+            at_quiescence = (fun () -> []);
+          });
+    }
+  in
+  [ handoff; stuck ]
+
+let test_spin_explore_equivalence () =
+  let explore dpor prog =
+    let o = Check.Explore.explore ~dpor ~stop_on_violation:false prog in
+    (o.runs, o.complete, o.deadlocks, o.sleep_blocked, o.budget_hits,
+     o.max_depth)
+  in
+  List.iter2
+    (fun a b ->
+      List.iter
+        (fun dpor ->
+          let x = explore dpor a and y = explore dpor b in
+          let name = Printf.sprintf "%s (dpor %b)" a.name dpor in
+          check_bool (name ^ ": same exploration") true (x = y);
+          let runs, complete, deadlocks, _, _, _ = x in
+          check_bool (name ^ ": several executions") true (runs > 1);
+          check_bool (name ^ ": the expected verdict") true
+            (if a.name = "stuck" then deadlocks > 0 && complete = 0
+             else complete > 1 && deadlocks = 0))
+        [ true; false ])
+    (spin_programs ~wait:E.spin_until)
+    (spin_programs ~wait:spin_loop)
+
+(* ------------------------------------------------------------------ *)
+(* Lazily materialised cell arrays                                     *)
+(* ------------------------------------------------------------------ *)
 
 let test_cells_reserve_ids () =
   let w = M.loc_count () in
@@ -690,6 +1092,21 @@ let () =
             test_controller_reads_slots;
           Alcotest.test_case "controller processor limit" `Quick
             test_controller_proc_limit;
+        ] );
+      ( "spin",
+        [
+          Alcotest.test_case "abort in either phase" `Quick
+            test_spin_abort_phases;
+          Alcotest.test_case "crash in a pause" `Quick
+            test_spin_crash_in_pause;
+          Alcotest.test_case "deferred pause" `Quick test_spin_defer_pause;
+          Alcotest.test_case "impure predicate raises" `Quick
+            test_spin_impure_predicate;
+          Alcotest.test_case "controller view" `Quick
+            test_spin_controller_view;
+          QCheck_alcotest.to_alcotest prop_spin_model_equivalence;
+          Alcotest.test_case "explorer equivalence" `Quick
+            test_spin_explore_equivalence;
         ] );
       ( "cells",
         [

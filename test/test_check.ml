@@ -215,6 +215,25 @@ let test_golden_dpor_counts () =
          max_depth=20 capped=false" );
     ]
 
+(* Scenarios whose executions mostly replay a prefix an earlier one
+   decided.  counter_mixed p3 is bench/suite's check_dpor scenario;
+   every execution of the starved pool deadlocks, so spin-block and
+   deadlock detection must work below replayed frames too. *)
+let test_golden_replay_counts () =
+  let explore ?stop_on_violation (scenario : Sc.t) ~procs ~width ~ops =
+    let prog = scenario.Sc.make ~procs ~width ~ops in
+    counts (Ex.explore ~seed:1 ?stop_on_violation prog)
+  in
+  check_string "counter_mixed p3 w2 o1"
+    "runs=76256 complete=74173 deadlocks=0 sleep_blocked=2083 budget_hits=0 \
+     max_depth=74 capped=false"
+    (explore Sc.counter_mixed ~procs:3 ~width:2 ~ops:1);
+  check_string "central_pool_starved p2 w2 o1, every execution"
+    "runs=4 complete=0 deadlocks=4 sleep_blocked=0 budget_hits=0 max_depth=12 \
+     capped=false"
+    (explore ~stop_on_violation:false Sc.central_pool_starved ~procs:2 ~width:2
+       ~ops:1)
+
 let test_golden_naive_counts () =
   let prog = Sc.elim_pool.Sc.make ~procs:3 ~width:2 ~ops:1 in
   check_string "elim_pool p3 w2 o1, naive, 2,000-execution cap"
@@ -296,6 +315,8 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "dpor counts" `Slow test_golden_dpor_counts;
+          Alcotest.test_case "dpor counts across replays" `Slow
+            test_golden_replay_counts;
           Alcotest.test_case "naive counts" `Slow test_golden_naive_counts;
           Alcotest.test_case "counterexamples" `Quick
             test_golden_counterexamples;

@@ -45,8 +45,7 @@ let default_roots =
     "Engine_impl.cells_get";
     "Event_wheel.is_empty";
     "Event_wheel.push";
-    "Event_wheel.min_time";
-    "Event_wheel.pop_min";
+    "Event_wheel.pop_due";
     "Event_heap.push";
     "Event_heap.pop";
     "Event_heap.min_time";

@@ -33,6 +33,30 @@
    (for the paper's structures: livelock by spinning, e.g. the
    centralized pool of Figure 5 polling an empty slot).
 
+   Replayed prefixes.  Every execution after the first replays the
+   choices of the frame stack, whose last frame backtracking has just
+   re-pointed, and only then explores past it.  A decision at depth d
+   below the last frame does only what changes state: [note_spin],
+   [record] and [Fire] of the frame's pid, asserted runnable and not
+   blocked.  Why its race checks, enabled set and sleep set can be
+   skipped:
+   - Frame d still exists, so no frame below it has changed its choice
+     since the execution that pushed it: backtracking re-points only
+     the top frame and truncates everything above.  The state before
+     step d (every processor's pending access, the vector clocks, the
+     spin counters) is therefore that execution's.
+   - That execution's race checks at step d OR-ed their backtrack bits
+     into frames below d, which still exist.  Repeating them sets no
+     new bit.
+   - The same state has the same enabled set, so the frame's pid is
+     enabled and no deadlock is possible there.
+   - The sleep set is read only when a frame is pushed, which happens
+     after the last frame.  The last frame keeps the full path, and
+     its sleep set depends only on the frame and the state, not on the
+     sleep sets before it.
+   [note_spin] and [record] are not skipped: the spin counters and
+   clocks they update are part of the state the later steps read.
+
    The per-step bookkeeping builds no lists, options or hash buckets:
    sets of pids are bitmasks, and the per-location records and clocks
    are reused from one execution to the next. *)
@@ -291,7 +315,16 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
   let choose t runnable : S.choice =
     note_spin ();
     let d = Vec.length sched in
-    if d >= max_steps then begin
+    if d < Vec.length frames - 1 then begin
+      (* A decided step below the last frame: its race checks, enabled
+         set and sleep set are known (see the header).  [Replay] keeps
+         no frames. *)
+      let p = (Vec.get frames d).f_chosen in
+      assert (mem p runnable && not (blocked t p));
+      record t p;
+      S.Fire p
+    end
+    else if d >= max_steps then begin
       status := Step_budget;
       S.Quit
     end
@@ -325,7 +358,7 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
               else lowest enabled
           | Dpor | Naive ->
               if d < Vec.length frames then begin
-                (* Replaying the committed prefix of the exploration. *)
+                (* The last frame, whose choice backtracking changed. *)
                 let f = Vec.get frames d in
                 assert (mem f.f_chosen enabled);
                 f.f_chosen

@@ -48,8 +48,9 @@ let nprocs () = (Scheduler.the_sched ()).nprocs
 let delay n = if n > 0 then Effect.perform (Scheduler.Delay n)
 let cpu_relax () = Effect.perform (Scheduler.Delay 1)
 
-(* One effect per wait: the scheduler re-parks the slot for each
-   further read and [cpu_relax], counting the reads itself. *)
+(* One effect per wait: its slot stays parked, and the scheduler
+   queues it again for each further read and [cpu_relax], counting the
+   reads itself. *)
 let spin_until c until =
   let t = Scheduler.the_sched () in
   t.op_reads <- t.op_reads + 1;

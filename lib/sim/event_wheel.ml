@@ -7,9 +7,11 @@
    sits in bucket [time land mask]; each bucket is a FIFO of pids,
    linked through the per-pid [next] array (a pid has at most one
    entry).  Entries due at [cursor + size] or later wait in the
-   overflow heap.  [min_time] walks the cursor forward to the first
-   non-empty bucket, or jumps it to the overflow's least time when the
-   wheel is empty; simulated accesses take 6 to 12 cycles plus
+   overflow heap.  [pop_due], the step loop's one call per event, walks
+   the cursor forward to the first non-empty bucket, or jumps it to the
+   overflow's least time when the wheel is empty, and takes that
+   bucket's head unless it is due after the horizon; the entry's time
+   is then the cursor.  Simulated accesses take 6 to 12 cycles plus
    queueing, so the walk is short.
 
    Why the order is exactly (time, seq), the order Event_heap gives:
@@ -21,8 +23,8 @@
      all inserted while [T] was outside the window, so before any
      direct insertion at [T].  Each time the cursor moves, [refill]
      moves the overflow entries the window now covers into their
-     buckets, in heap order, before [min_time] returns and so before
-     anything fires or is inserted at the new cursor.  A bucket
+     buckets, in heap order, before [pop_due] takes an entry there and
+     so before anything fires or is inserted at the new cursor.  A bucket
      therefore receives all its overflow entries, in seq order, ahead
      of all its direct insertions.
 
@@ -140,17 +142,20 @@ let advance t =
   end;
   c
 
-let min_time t =
-  if is_empty t then invalid_arg "Event_wheel.min_time: empty queue";
-  advance t
+let cursor t = t.cursor
 
-let pop_min t =
-  if is_empty t then invalid_arg "Event_wheel.pop_min: empty queue";
-  let b = advance t land mask in
-  let p = t.heads.(b) in
-  t.heads.(b) <- t.next.(p);
-  t.n <- t.n - 1;
-  p
+let pop_due t ~horizon =
+  if is_empty t then -1
+  else
+    let c = advance t in
+    if c > horizon then -1
+    else begin
+      let b = c land mask in
+      let p = t.heads.(b) in
+      t.heads.(b) <- t.next.(p);
+      t.n <- t.n - 1;
+      p
+    end
 
 (* Push the bucket chain from [p], due at [time], onto the overflow
    heap.  Every spilled entry was inserted before any push to come, and

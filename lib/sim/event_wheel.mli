@@ -5,10 +5,10 @@
     [(time, seq)] order, as {!Event_heap} would, provided its callers
     keep the scheduler's discipline: every insertion takes a fresh seq,
     larger than all earlier ones and non-negative, and none is due
-    before the time {!min_time} last returned (except during
-    {!drain}).  Inserting and taking an entry cost O(1) whatever the
-    number of pending pids; finding the next one costs one step per
-    empty cycle skipped. *)
+    before the {!cursor} (except during {!drain}).  Inserting an entry
+    costs O(1) whatever the number of pending pids; {!pop_due} finds and
+    takes the next one with one walk of the cursor, one step per empty
+    cycle skipped. *)
 
 type t
 
@@ -32,15 +32,18 @@ val is_empty : t -> bool
 val push : t -> time:int -> seq:int -> int -> unit
 (** [push t ~time ~seq p] queues pid [p], which has no entry, due at
     [time] with key [(time, seq)].  Raises [Invalid_argument] if [time]
-    is before the time {!min_time} last returned, outside {!drain}. *)
+    is before the {!cursor}, outside {!drain}. *)
 
-val min_time : t -> int
-(** The earliest entry's time, without removing it.  Moves the wheel's
-    cursor there.  Raises [Invalid_argument] on an empty queue. *)
+val pop_due : t -> horizon:int -> int
+(** Remove the earliest entry and return its pid, whose time is then
+    the {!cursor}; or return [-1] if the queue is empty or the earliest
+    entry is due after [horizon], which leaves it queued.  Moves the
+    cursor to the earliest entry's time unless the queue is empty. *)
 
-val pop_min : t -> int
-(** Remove the earliest entry and return its pid.  Raises
-    [Invalid_argument] on an empty queue. *)
+val cursor : t -> int
+(** The wheel's current time, [0] when created: the time of the entry
+    {!pop_due} last returned, or of the earliest entry when it last
+    returned [-1] on a non-empty queue. *)
 
 val drain : t -> (int -> unit) -> unit
 (** [drain t f] removes every entry in key order, applying [f] to its

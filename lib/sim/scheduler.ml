@@ -16,21 +16,24 @@
    under its (time, seq) key.  The queue is a timing wheel of one-cycle
    buckets with a binary heap as its overflow tier for events due 1,024
    or more cycles ahead, so parking and firing cost O(1) whatever the
-   number of processors.  Every park takes a fresh seq, which is what
-   lets the wheel's FIFO buckets keep exact (time, seq) order; see
-   event_wheel.ml for the argument.  The step loop takes the fired
-   processor's event off the queue before running it, and its next
-   [park] appends a new one.
+   number of processors.  Every event queued takes a fresh seq, which
+   is what lets the wheel's FIFO buckets keep exact (time, seq) order;
+   see event_wheel.ml for the argument.  The step loop takes each event
+   off the queue with one [Event_wheel.pop_due], which also tells it
+   when the next event is past the horizon, and the fired processor's
+   next [park] appends a new one.
 
    A spin-wait ([Engine.S.spin_until], the [Spin] effect) is one parked
-   slot for the whole wait.  The scheduler runs the loop itself: when a
-   read fails the predicate it re-parks the same slot for the
-   [cpu_relax], marking the effect [pausing], and when that ends, for
-   the next read.  Each step issues, charges, traces and takes its seq
-   exactly as the resumed processor's [get] or [cpu_relax] would have,
-   so a run is event-for-event the hand-written loop.  What changes is
-   host cost: the processor resumes, and its effect is allocated, once
-   per wait instead of twice per iteration.
+   slot for the whole wait, cleared only when its processor resumes.
+   The scheduler runs the loop itself: when a read fails the predicate
+   it marks the effect [pausing] and queues the slot again for the
+   [cpu_relax], and when that ends, for the next read.  A step only
+   takes a fresh seq and re-enters the queue ([enqueue], the half of
+   [park] that does not touch the slot), but it issues, charges, traces
+   and takes its seq exactly as the resumed processor's [get] or
+   [cpu_relax] would have, so a run is event-for-event the hand-written
+   loop.  What changes is host cost: the processor resumes, and its
+   effect is allocated, once per wait instead of twice per iteration.
 
    An operation's side effect executes when its event fires ([commit]),
    not when it is issued: operations therefore linearize in
@@ -193,17 +196,21 @@ let is_local = function
   | Parked (_, Spin s) -> s.pausing
   | Idle | Parked _ -> false
 
-(* Park [p]'s next event, due at [time]: into [pending] under a
-   controller, otherwise into the queue. *)
-let park t p time op =
-  if t.slots.(p) != Idle then
-    invalid_arg "Sim.Scheduler.park: the processor already has a pending event";
-  t.slots.(p) <- op;
+(* Queue [p]'s parked event, due at [time], under a fresh seq: into
+   [pending] under a controller, otherwise into the queue. *)
+let enqueue t p time =
   t.seqs.(p) <- t.seq;
   (match t.controller with
   | Some _ -> t.pending.(p) <- time
   | None -> Event_wheel.push t.queue ~time ~seq:t.seq p);
   t.seq <- t.seq + 1
+
+(* Park [p]'s next event, [op], due at [time]. *)
+let park t p time op =
+  if t.slots.(p) != Idle then
+    invalid_arg "Sim.Scheduler.park: the processor already has a pending event";
+  t.slots.(p) <- op;
+  enqueue t p time
 
 (* [p] issues a [Delay n] now: charge it, with the injector's jitter,
    and return when it ends. *)
@@ -309,15 +316,15 @@ let observe_read t p c =
         ~clean:(Memory.shadow_clean c)
   | None -> ()
 
-(* Fire [p]'s parked operation, [slot]: its memory semantics take
-   effect now, each mutation after the raw-write check of the cell's
-   shadow, and [p] resumes with the result.  A spinning slot resumes
-   only on a read that satisfies its predicate; otherwise it re-parks
-   the same [slot] for its [cpu_relax], and after that for its next
-   read — the events, seqs, counters and tracer calls of the
-   hand-written [get]/[cpu_relax] loop, without running the
-   processor. *)
-let commit (type a) t p slot (k : (a, unit) continuation) (eff : a Effect.t) =
+(* Fire [p]'s parked operation: its memory semantics take effect now,
+   each mutation after the raw-write check of the cell's shadow, and
+   [p] resumes with the result.  A spinning slot stays parked until a
+   read satisfies its predicate: a failed read queues the slot's
+   [cpu_relax], and that pause queues the next read — the events, seqs,
+   counters and tracer calls of the hand-written [get]/[cpu_relax]
+   loop, without running the processor.  Every other slot is cleared
+   before [commit] runs. *)
+let commit (type a) t p (k : (a, unit) continuation) (eff : a Effect.t) =
   if Etrace.on Etrace.lv_full then emit_fired t p eff;
   match eff with
   | Delay _ -> continue k ()
@@ -328,15 +335,18 @@ let commit (type a) t p slot (k : (a, unit) continuation) (eff : a Effect.t) =
       if s.pausing then begin
         s.pausing <- false;
         t.op_reads <- t.op_reads + 1;
-        park t p (read_due t p s.cell) slot
+        enqueue t p (read_due t p s.cell)
       end
       else begin
         observe_read t p s.cell;
         let v = s.cell.Memory.v in
-        if s.until v then continue k v
+        if s.until v then begin
+          t.slots.(p) <- Idle;
+          continue k v
+        end
         else begin
           s.pausing <- true;
-          park t p (delay_due t p 1) slot
+          enqueue t p (delay_due t p 1)
         end
       end
   | Set (c, x) ->
@@ -401,11 +411,14 @@ let handler t p =
 (* Fire [p]'s pending event at the current clock. *)
 let fire t p =
   let slot = t.slots.(p) in
-  t.slots.(p) <- Idle;
   t.current <- p;
   match slot with
-  | Parked (k, eff) -> commit t p slot k eff
+  | Parked (k, (Spin _ as eff)) -> commit t p k eff
+  | Parked (k, eff) ->
+      t.slots.(p) <- Idle;
+      commit t p k eff
   | Start ->
+      t.slots.(p) <- Idle;
       if Etrace.on Etrace.lv_ops then
         Etrace.emit (Etrace.Event.Proc_start { pid = p; time = t.clock });
       match_with t.body p (handler t p)
@@ -559,45 +572,45 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
     in
     step ()
   in
-  (* The step loop takes each event off the queue before firing it: no
-     option, no tuple, no entry record, zero heap allocation per event
-     (@allocheck). *)
+  (* The step loop takes each event off the queue with one [pop_due]
+     before firing it: no option, no tuple, no entry record, zero heap
+     allocation per event (@allocheck). *)
   let q = t.queue in
   let rec loop () =
-    if not (Event_wheel.is_empty q) then begin
-      let time = Event_wheel.min_time q in
-      if time > horizon then Event_wheel.drain q (fun p -> abort t p)
-      else begin
-        let p = Event_wheel.pop_min q in
-        (match t.injector with
-        | None -> fire_at t time p
-        | Some inj -> (
-            match inj.on_event ~pid:p ~time with
-            | Fault_proceed -> fire_at t time p
-            | Fault_defer until ->
-                t.fault_defers <- t.fault_defers + 1;
-                let until = if until <= time then time + 1 else until in
-                if Etrace.on Etrace.lv_ops then
-                  Etrace.emit (Etrace.Event.Fault_stall { pid = p; time; until });
-                Event_wheel.push q ~time:until ~seq:t.seq p;
-                t.seq <- t.seq + 1
-            | Fault_drop ->
-                (* Crash-stop: the processor's sole pending event dies and
-                   with it the processor; the continuation is dropped
-                   unresumed, so no cleanup handlers run. *)
-                t.slots.(p) <- Idle;
-                t.clock <- time;
-                t.live <- t.live - 1;
-                t.crashed <- t.crashed + 1;
-                if Etrace.on Etrace.lv_ops then begin
-                  Etrace.emit (Etrace.Event.Fault_crash { pid = p; time });
-                  Etrace.emit
-                    (Etrace.Event.Proc_end
-                       { pid = p; time; reason = Etrace.Event.Crashed })
-                end));
-        loop ()
-      end
+    let p = Event_wheel.pop_due q ~horizon in
+    if p >= 0 then begin
+      let time = Event_wheel.cursor q in
+      (match t.injector with
+      | None -> fire_at t time p
+      | Some inj -> (
+          match inj.on_event ~pid:p ~time with
+          | Fault_proceed -> fire_at t time p
+          | Fault_defer until ->
+              t.fault_defers <- t.fault_defers + 1;
+              let until = if until <= time then time + 1 else until in
+              if Etrace.on Etrace.lv_ops then
+                Etrace.emit (Etrace.Event.Fault_stall { pid = p; time; until });
+              Event_wheel.push q ~time:until ~seq:t.seq p;
+              t.seq <- t.seq + 1
+          | Fault_drop ->
+              (* Crash-stop: the processor's sole pending event dies and
+                 with it the processor; the continuation is dropped
+                 unresumed, so no cleanup handlers run. *)
+              t.slots.(p) <- Idle;
+              t.clock <- time;
+              t.live <- t.live - 1;
+              t.crashed <- t.crashed + 1;
+              if Etrace.on Etrace.lv_ops then begin
+                Etrace.emit (Etrace.Event.Fault_crash { pid = p; time });
+                Etrace.emit
+                  (Etrace.Event.Proc_end
+                     { pid = p; time; reason = Etrace.Event.Crashed })
+              end));
+      loop ()
     end
+    else if not (Event_wheel.is_empty q) then
+      (* The earliest event is past the horizon. *)
+      Event_wheel.drain q (fun p -> abort t p)
   in
   (match controller with Some c -> ctl_loop c | None -> loop ());
   assert (t.live = 0);

@@ -16,15 +16,16 @@
     seq, so a bucket's FIFO order is its seq order; overflow events
     move into their bucket, in heap order, as soon as the wheel's
     window reaches them and before anything fires there, so they
-    precede every later park at their time.  The step loop takes the
-    fired processor's event off the queue, and its next {!park}
-    appends.
+    precede every later park at their time.  The step loop takes each
+    event off the queue with one {!Event_wheel.pop_due}, and the fired
+    processor's next {!park} appends.
 
-    A spin-wait is one {!Spin} effect: its slot stays parked while the
-    scheduler alternates the read and the [Delay 1] itself, with the
-    events, seqs, counters and tracer calls of the hand-written
-    [get]/[cpu_relax] loop, and resumes the processor only on a read
-    that satisfies the predicate.
+    A spin-wait is one {!Spin} effect: its slot stays parked for the
+    whole wait while the scheduler alternates the read and the
+    [Delay 1] itself, each step re-entering the queue under a fresh seq
+    with the events, seqs, counters and tracer calls of the hand-written
+    [get]/[cpu_relax] loop.  The processor resumes only on a read that
+    satisfies the predicate, and its slot is cleared then.
 
     This module is the simulator's engine room; user code should go
     through [Sim.run] and [Sim.Engine]. *)
@@ -180,7 +181,8 @@ val pending_kind : t -> int -> access_kind
 
 val park : t -> int -> int -> slot -> unit
 (** [park t p time op] makes [op] processor [p]'s pending event, due at
-    [time].  Raises [Invalid_argument] if [p] already has one. *)
+    [time].  Raises [Invalid_argument] if [p] already has one, as a
+    spinning processor does for its whole wait. *)
 
 type totals = { t_events : int; t_reads : int; t_writes : int; t_rmws : int }
 (** Process-cumulative counters summed over every completed {!run} in

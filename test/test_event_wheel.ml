@@ -11,6 +11,7 @@ module W = Sim.Event_wheel
 module H = Sim.Event_heap
 
 let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
 (* Scripts                                                             *)
@@ -95,19 +96,24 @@ let heap_queue () =
     drain = (fun f -> H.drain h (fun _ _ p -> f p));
   }
 
-(* The drain first moves the cursor to the earliest entry, as the step
-   loop's horizon check does. *)
+(* An entry comes out with [pop_due ~horizon:max_int] and its time is
+   the cursor.  The drain starts where a horizon check leaves the
+   wheel: a [pop_due] that finds its head past the horizon has moved
+   the cursor to it. *)
+let take w =
+  let p = W.pop_due w ~horizon:max_int in
+  if p < 0 then Alcotest.fail "pop_due on a non-empty wheel found nothing";
+  (W.cursor w, p)
+
 let wheel_queue w =
   {
     push = (fun ~time ~seq p -> W.push w ~time ~seq p);
     is_empty = (fun () -> W.is_empty w);
-    next =
-      (fun () ->
-        let time = W.min_time w in
-        (time, W.pop_min w));
+    next = (fun () -> take w);
     drain =
       (fun f ->
-        if not (W.is_empty w) then ignore (W.min_time w);
+        check_int "nothing is due before min_int" (-1)
+          (W.pop_due w ~horizon:min_int);
         W.drain w f);
   }
 
@@ -164,10 +170,6 @@ let prop_matches_heap =
 (* Unit edges                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let take w =
-  let time = W.min_time w in
-  (time, W.pop_min w)
-
 let check_take msg w expected =
   Alcotest.(check (pair int int)) msg expected (take w)
 
@@ -176,7 +178,8 @@ let check_take msg w expected =
 let test_cursor_jump () =
   let w = W.create ~procs:3 in
   W.push w ~time:100_000 ~seq:0 0;
-  check_int "jumps" 100_000 (W.min_time w);
+  check_int "nothing due by 99,999" (-1) (W.pop_due w ~horizon:99_999);
+  check_int "jumps" 100_000 (W.cursor w);
   W.push w ~time:100_000 ~seq:1 1;
   W.push w ~time:100_003 ~seq:2 2;
   check_take "overflow entry first" w (100_000, 0);
@@ -212,20 +215,41 @@ let test_window_edge () =
 let test_push_before_cursor_rejected () =
   let w = W.create ~procs:2 in
   W.push w ~time:10 ~seq:0 0;
-  check_int "cursor" 10 (W.min_time w);
+  check_int "due at 10" (-1) (W.pop_due w ~horizon:9);
+  check_int "cursor" 10 (W.cursor w);
   Alcotest.check_raises "due before the cursor"
     (Invalid_argument "Event_wheel.push: due before the cursor") (fun () ->
       W.push w ~time:9 ~seq:1 1);
   W.release w
 
-let test_empty_raises () =
+let test_pop_due_empty () =
   let w = W.create ~procs:1 in
-  Alcotest.check_raises "min_time on empty"
-    (Invalid_argument "Event_wheel.min_time: empty queue") (fun () ->
-      ignore (W.min_time w));
-  Alcotest.check_raises "pop_min on empty"
-    (Invalid_argument "Event_wheel.pop_min: empty queue") (fun () ->
-      ignore (W.pop_min w));
+  check_int "an empty wheel has nothing due" (-1)
+    (W.pop_due w ~horizon:max_int);
+  W.release w
+
+(* An entry due after the horizon stays queued, and the drain after it
+   hands it over in key order. *)
+let test_pop_due_past_horizon () =
+  let w = W.create ~procs:3 in
+  W.push w ~time:50 ~seq:0 2;
+  W.push w ~time:40 ~seq:1 0;
+  W.push w ~time:40 ~seq:2 1;
+  check_int "past the horizon" (-1) (W.pop_due w ~horizon:39);
+  check_bool "still queued" false (W.is_empty w);
+  let drained = ref [] in
+  W.drain w (fun p -> drained := p :: !drained);
+  Alcotest.(check (list int)) "drained in key order" [ 0; 1; 2 ]
+    (List.rev !drained);
+  check_bool "empty" true (W.is_empty w);
+  W.release w
+
+let test_pop_due_at_horizon () =
+  let w = W.create ~procs:2 in
+  W.push w ~time:30 ~seq:0 1;
+  check_int "due at the horizon" 1 (W.pop_due w ~horizon:30);
+  check_int "its time" 30 (W.cursor w);
+  check_bool "empty" true (W.is_empty w);
   W.release w
 
 (* A queue released with entries left (its run raised) hands on empty
@@ -253,7 +277,12 @@ let () =
           Alcotest.test_case "window edge" `Quick test_window_edge;
           Alcotest.test_case "push before the cursor rejected" `Quick
             test_push_before_cursor_rejected;
-          Alcotest.test_case "empty accessors raise" `Quick test_empty_raises;
+          Alcotest.test_case "pop_due on an empty wheel" `Quick
+            test_pop_due_empty;
+          Alcotest.test_case "pop_due past the horizon" `Quick
+            test_pop_due_past_horizon;
+          Alcotest.test_case "pop_due at the horizon" `Quick
+            test_pop_due_at_horizon;
           Alcotest.test_case "release clears leftovers" `Quick
             test_release_clears;
         ] );

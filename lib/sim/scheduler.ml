@@ -27,13 +27,13 @@
    slot for the whole wait, cleared only when its processor resumes.
    The scheduler runs the loop itself: when a read fails the predicate
    it marks the effect [pausing] and queues the slot again for the
-   [cpu_relax], and when that ends, for the next read.  A step only
-   takes a fresh seq and re-enters the queue ([enqueue], the half of
-   [park] that does not touch the slot), but it issues, charges, traces
-   and takes its seq exactly as the resumed processor's [get] or
-   [cpu_relax] would have, so a run is event-for-event the hand-written
-   loop.  What changes is host cost: the processor resumes, and its
-   effect is allocated, once per wait instead of twice per iteration.
+   [cpu_relax], and when that ends, for the next read, each time
+   through [enqueue], the half of [park] that leaves the slot alone.
+   Each step issues, charges, traces and takes its seq exactly as the
+   resumed processor's [get] or [cpu_relax] would have, so a run is
+   event-for-event the hand-written loop.  What changes is host cost:
+   the processor resumes, and its effect is allocated, once per wait
+   instead of twice per iteration.
 
    An operation's side effect executes when its event fires ([commit]),
    not when it is issued: operations therefore linearize in

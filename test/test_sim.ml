@@ -727,19 +727,11 @@ let test_spin_controller_view () =
     (List.mem `Read !phases && List.mem `Pause !phases)
 
 (* One wait keeps one parked slot.  Processor 0 waits on a flag that
-   processor 1 sets at 30; an injector records processor 0's slot
-   before each of its spin steps fires, and tries to park a second
-   event on it during each pause. *)
-type slot_watch = {
-  seen : Sim.Scheduler.slot list;  (* newest first *)
-  rejected : int;  (* parks rejected during a pause *)
-  pauses : int;
-  idle_after : bool;  (* the slot once spin_until returned *)
-}
-
-let watch_spin_slot () =
-  let seen = ref [] and rejected = ref 0 and pauses = ref 0 in
-  let idle_after = ref false in
+   processor 1 sets at 30.  An injector sees the physically same slot
+   before each of its reads and pauses, and cannot park a second event
+   on it during a pause; the slot is idle once the wait returns. *)
+let test_spin_slot_invariants () =
+  let seen = ref [] and pauses = ref 0 and rejected = ref 0 in
   let on_event ~pid ~time =
     let t = Sim.Scheduler.the_sched () in
     (match t.slots.(pid) with
@@ -755,7 +747,7 @@ let watch_spin_slot () =
     Sim.Scheduler.Fault_proceed
   in
   let injector = { Sim.Scheduler.no_injector with on_event } in
-  let flag = E.cell false in
+  let flag = E.cell false and idle_after = ref false in
   ignore
     (Sim.run ~injector ~procs:2 (fun p ->
          if p = 0 then begin
@@ -769,25 +761,14 @@ let watch_spin_slot () =
            E.delay 30;
            E.set flag true
          end));
-  { seen = !seen; rejected = !rejected; pauses = !pauses;
-    idle_after = !idle_after }
-
-let test_spin_slot_one_block () =
-  match (watch_spin_slot ()).seen with
+  (match !seen with
   | [] -> Alcotest.fail "no spin step seen"
-  | last :: _ as seen ->
-      check_bool "reads and pauses seen" true (List.length seen >= 6);
+  | last :: _ ->
       check_bool "the same block at every read and pause" true
-        (List.for_all (fun s -> s == last) seen)
-
-let test_spin_slot_idle_after () =
-  check_bool "the slot is idle once the wait returns" true
-    (watch_spin_slot ()).idle_after
-
-let test_spin_park_in_pause () =
-  let w = watch_spin_slot () in
-  check_bool "pauses seen" true (w.pauses >= 3);
-  check_int "park rejected in every pause" w.pauses w.rejected
+        (List.for_all (fun s -> s == last) !seen));
+  check_bool "pauses seen" true (!pauses >= 3);
+  check_int "park rejected in every pause" !pauses !rejected;
+  check_bool "the slot is idle once the wait returns" true !idle_after
 
 (* Model equivalence.  A random spin script runs twice, with
    [E.spin_until] and with [spin_loop], under the same memory model,
@@ -1167,12 +1148,8 @@ let () =
             test_spin_impure_predicate;
           Alcotest.test_case "controller view" `Quick
             test_spin_controller_view;
-          Alcotest.test_case "one slot block per wait" `Quick
-            test_spin_slot_one_block;
-          Alcotest.test_case "slot idle after the wait" `Quick
-            test_spin_slot_idle_after;
-          Alcotest.test_case "park rejected in a pause" `Quick
-            test_spin_park_in_pause;
+          Alcotest.test_case "one parked slot per wait" `Quick
+            test_spin_slot_invariants;
           QCheck_alcotest.to_alcotest prop_spin_model_equivalence;
           Alcotest.test_case "explorer equivalence" `Quick
             test_spin_explore_equivalence;

@@ -609,6 +609,16 @@ let check_cmd =
   in
   let run scenario procs width ops max_interleavings max_steps dpor expect
       schedule trace_out seed =
+    (* Sizes are checked before anything is built: deadlock details
+       print process-global location ids. *)
+    if procs < 1 || procs > 62 then begin
+      Printf.eprintf "check: --procs must be between 1 and 62, got %d\n" procs;
+      exit 2
+    end;
+    if not (Netverify.Ir.is_power_of_two width) then begin
+      Printf.eprintf "check: --width must be a power of two, got %d\n" width;
+      exit 2
+    end;
     let program = scenario.Check.Scenario.make ~procs ~width ~ops in
     let traced_replay sched =
       match trace_out with

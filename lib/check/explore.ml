@@ -35,16 +35,34 @@
 
    Replayed prefixes.  Every execution after the first replays the
    choices of the frame stack, whose last frame backtracking has just
-   re-pointed, and only then explores past it.  A decision at depth d
-   below the last frame does only what changes state: [note_spin],
-   [record] and [Fire] of the frame's pid, asserted runnable and not
-   blocked.  Why its race checks, enabled set and sleep set can be
-   skipped:
+   re-pointed, and only then explores past it.  The happens-before
+   state (the processor clocks and every location's records and
+   clocks) is not rebuilt for that prefix: it persists from one
+   execution to the next.  A location is keyed by its id minus the
+   [Memory.loc_count] watermark taken just before [prepare], which is
+   the same location in every execution that shares the prefix.
+   [record] logs what it overwrites, and backtracking undoes the log,
+   newest step first, down to the re-pointed frame.  A decision at
+   depth d below the last frame then only runs [note_spin], asserts
+   the frame's pid runnable and not blocked, checks that the pid's
+   pending access is the one the log holds for step d, and fires it.
+   Why this is exact:
    - Frame d still exists, so no frame below it has changed its choice
-     since the execution that pushed it: backtracking re-points only
-     the top frame and truncates everything above.  The state before
-     step d (every processor's pending access, the vector clocks, the
-     spin counters) is therefore that execution's.
+     since the execution that logged step d: backtracking re-points
+     only the top frame and truncates everything above.  The replayed
+     prefix is therefore the same pid sequence as in that execution.
+   - The program is deterministic given that sequence, so step i
+     accesses the same location key with the same kind, and [record]
+     would recompute exactly the logged values.  The divergence check
+     holds this premise: a mismatch raises [Replay_diverged] naming
+     the step, since the explorer would otherwise search the wrong
+     space without any error.
+   - Undo restores exactly the fields [record] overwrote: the
+     processor's clock, the location's four step/pid fields, and the
+     one location clock it wrote (the writer clock on a write, the
+     reader clock on a read).  After the undo the state is the one
+     the execution that pushed the re-pointed frame had before that
+     frame's step, which is where the new execution decides afresh.
    - That execution's race checks at step d OR-ed their backtrack bits
      into frames below d, which still exist.  Repeating them sets no
      new bit.
@@ -54,12 +72,13 @@
      after the last frame.  The last frame keeps the full path, and
      its sleep set depends only on the frame and the state, not on the
      sleep sets before it.
-   [note_spin] and [record] are not skipped: the spin counters and
-   clocks they update are part of the state the later steps read.
+   [note_spin] is not skipped: the spin counters it updates are built
+   afresh in every execution, and the later steps read them.
 
    The per-step bookkeeping builds no lists, options or hash buckets:
-   sets of pids are bitmasks, and the per-location records and clocks
-   are reused from one execution to the next. *)
+   sets of pids are bitmasks, the log entries and per-location records
+   and clocks are reused from one execution to the next, and a
+   replayed decision allocates nothing. *)
 
 module S = Sim.Scheduler
 module M = Sim.Memory
@@ -82,7 +101,6 @@ module Vec = struct
     t.len <- t.len + 1
 
   let truncate t n = if n < t.len then t.len <- n
-  let to_array t = Array.sub t.a 0 t.len
 end
 
 type instance = {
@@ -108,6 +126,8 @@ type run = {
   violations : Monitor.violation list;
 }
 
+exception Replay_diverged of string
+
 (* Sets of pids are bitmasks (bit p = processor p): a controlled run
    has at most 62 processors. *)
 type frame = {
@@ -129,12 +149,10 @@ let rec lowest_from set p = if mem p set then p else lowest_from set (p + 1)
 (* The smallest pid in a non-empty set. *)
 let lowest set = lowest_from set 0
 
-(* One location's state in the current execution: its newest access
-   and newest write (1-based steps, 0 = none) and its writer and
-   accumulated reader vector clocks. *)
+(* One location's happens-before state: its newest access and newest
+   write (1-based steps, 0 = none) and its writer and accumulated
+   reader vector clocks. *)
 type loc_state = {
-  mutable loc : M.loc;
-  mutable pos : int;  (* its entry in the id table *)
   mutable acc_step : int;
   mutable acc_pid : int;
   mutable wr_step : int;
@@ -143,92 +161,140 @@ type loc_state = {
   rcv : int array;
 }
 
-(* Location ids are process-global, grow from one execution to the
-   next, and are sparse where [cells] reserves a block, so each
-   execution numbers the locations it touches densely.  The id table
-   is open-addressed with linear probing and at most half full; it and
-   the [loc_state] records are reused across executions. *)
-type locs = {
-  mutable count : int;  (* locations touched in this execution *)
-  mutable states : loc_state array;  (* by dense index *)
-  mutable keys : int array;  (* location id, -1 = empty *)
-  mutable dense : int array;  (* the id's dense index *)
+(* One recorded step: its access (for the divergence check) and what
+   [record] overwrote (for [rewind]). *)
+type entry = {
+  mutable e_key : int;  (* the location's key *)
+  mutable e_kind : S.access_kind;
+  mutable e_pid : int;
+  mutable e_slot : int;  (* the location's index in [states] *)
+  mutable e_acc_step : int;
+  mutable e_acc_pid : int;
+  mutable e_wr_step : int;
+  mutable e_wr_pid : int;
+  e_proc_cv : int array;  (* the processor's clock *)
+  e_loc_cv : int array;  (* the location clock the step wrote *)
 }
 
-let new_locs () =
-  { count = 0; states = [||]; keys = Array.make 64 (-1); dense = Array.make 64 0 }
+(* The happens-before state of the steps executed so far, kept from
+   one execution to the next (see the header).  A location's key is
+   its id relative to the watermark taken before [prepare]; the key
+   table is open-addressed with linear probing and at most half full.
+   [log.(i)] is step i's entry for i < [steps]. *)
+type hb = {
+  n : int;
+  proc_cv : int array array;
+  mutable count : int;  (* locations with a record *)
+  mutable states : loc_state array;  (* by index *)
+  mutable keys : int array;  (* location key, [no_key] = empty *)
+  mutable index : int array;  (* the key's index in [states] *)
+  mutable log : entry array;
+  mutable steps : int;
+  fire : S.choice array;  (* [Fire p] by pid, built once *)
+}
 
-let rec probe keys id mask i =
+let no_key = min_int
+
+let new_hb n =
+  {
+    n;
+    proc_cv = Array.init n (fun _ -> Array.make n 0);
+    count = 0;
+    states = [||];
+    keys = Array.make 64 no_key;
+    index = Array.make 64 0;
+    log = [||];
+    steps = 0;
+    fire = Array.init n (fun p -> S.Fire p);
+  }
+
+(* [a] with room for twice as many elements, the new ones from
+   [fresh]. *)
+let grow a fresh =
+  Array.init
+    (max 64 (2 * Array.length a))
+    (fun j -> if j < Array.length a then a.(j) else fresh ())
+
+let rec probe keys key mask i =
   let k = keys.(i) in
-  if k = id || k < 0 then i else probe keys id mask ((i + 1) land mask)
+  if k = key || k = no_key then i else probe keys key mask ((i + 1) land mask)
 
-let slot_of keys id =
+let slot_of keys key =
   let mask = Array.length keys - 1 in
-  probe keys id mask (((id * 0x9E3779B1) lsr 16) land mask)
+  probe keys key mask (((key * 0x9E3779B1) lsr 16) land mask)
 
-(* The dense index of location [id] in this execution, or -1. *)
-let find ls id =
-  let i = slot_of ls.keys id in
-  if ls.keys.(i) = id then ls.dense.(i) else -1
+(* The index of location [key]'s record, or -1. *)
+let find hb key =
+  let i = slot_of hb.keys key in
+  if hb.keys.(i) = key then hb.index.(i) else -1
 
-let enter ls k =
-  let id = ls.states.(k).loc.M.id in
-  let i = slot_of ls.keys id in
-  ls.keys.(i) <- id;
-  ls.dense.(i) <- k;
-  ls.states.(k).pos <- i
+let insert keys index key k =
+  let i = slot_of keys key in
+  keys.(i) <- key;
+  index.(i) <- k
 
-(* The dense index of [loc], numbering it if this execution has not
-   touched it yet. *)
-let touch ls n (loc : M.loc) =
-  let k = find ls loc.M.id in
+(* The index of location [key]'s record, creating a blank one (no
+   access yet) on its first touch. *)
+let touch hb key =
+  let k = find hb key in
   if k >= 0 then k
   else begin
-    let k = ls.count in
-    ls.count <- k + 1;
-    if k = Array.length ls.states then begin
-      let old = ls.states in
-      ls.states <-
-        Array.init (max 64 (2 * k)) (fun j ->
-            if j < k then old.(j)
-            else
-              { loc; pos = 0; acc_step = 0; acc_pid = 0; wr_step = 0;
-                wr_pid = 0; wcv = Array.make n 0; rcv = Array.make n 0 })
+    let k = hb.count in
+    hb.count <- k + 1;
+    if k = Array.length hb.states then
+      hb.states <-
+        grow hb.states (fun () ->
+            { acc_step = 0; acc_pid = 0; wr_step = 0; wr_pid = 0;
+              wcv = Array.make hb.n 0; rcv = Array.make hb.n 0 });
+    if 2 * hb.count > Array.length hb.keys then begin
+      let keys = hb.keys and index = hb.index in
+      let size = 2 * Array.length keys in
+      hb.keys <- Array.make size no_key;
+      hb.index <- Array.make size 0;
+      Array.iteri
+        (fun i key -> if key <> no_key then insert hb.keys hb.index key index.(i))
+        keys
     end;
-    let l = ls.states.(k) in
-    l.loc <- loc;
-    l.acc_step <- 0;
-    l.wr_step <- 0;
-    Array.fill l.wcv 0 n 0;
-    Array.fill l.rcv 0 n 0;
-    if 2 * ls.count > Array.length ls.keys then begin
-      let size = 2 * Array.length ls.keys in
-      ls.keys <- Array.make size (-1);
-      ls.dense <- Array.make size 0;
-      for j = 0 to k - 1 do
-        enter ls j
-      done
-    end;
-    enter ls k;
+    insert hb.keys hb.index key k;
     k
   end
 
-let clear ls =
-  for k = 0 to ls.count - 1 do
-    ls.keys.(ls.states.(k).pos) <- -1
-  done;
-  ls.count <- 0
+(* Undo the logged steps, newest first, until [s] remain. *)
+let rewind hb s =
+  while hb.steps > s do
+    let e = hb.log.(hb.steps - 1) in
+    let l = hb.states.(e.e_slot) in
+    Array.blit e.e_proc_cv 0 hb.proc_cv.(e.e_pid) 0 hb.n;
+    Array.blit e.e_loc_cv 0 (if is_write e.e_kind then l.wcv else l.rcv) 0 hb.n;
+    l.acc_step <- e.e_acc_step;
+    l.acc_pid <- e.e_acc_pid;
+    l.wr_step <- e.e_wr_step;
+    l.wr_pid <- e.e_wr_pid;
+    hb.steps <- hb.steps - 1
+  done
 
-let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
+(* The "no previous access" value of [note_spin]'s location. *)
+let no_loc : M.loc =
+  {
+    id = -1;
+    busy_until = 0;
+    epoch_time = min_int;
+    epoch_pid = -1;
+    epoch_seq = -1;
+    pend_begins = min_int;
+    pend_finish = min_int;
+    pend_pid = -1;
+    shadow = Obj.repr ();
+  }
+
+let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~hb
     (program : program) =
   let n = program.procs in
+  let base = M.loc_count () in
   let inst = program.prepare () in
-  let sched = Vec.create () in
+  let depth = ref 0 in
   let status = ref Complete in
-  (* Vector clocks: per-processor, per-location writer, per-location
-     accumulated readers (in [locs]).  Step indices are 1-based. *)
-  let proc_cv = Array.init n (fun _ -> Array.make n 0) in
-  clear locs;
+  let proc_cv = hb.proc_cv in
   let join dst src =
     for i = 0 to n - 1 do
       if src.(i) > dst.(i) then dst.(i) <- src.(i)
@@ -239,12 +305,12 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
   let spin_fp = Array.make n min_int in
   let spin_run = Array.make n 0 in
   (* The previous decision's pid (-1 = none) and location. *)
-  let last_pid = ref (-1) and last_loc = ref 0 in
+  let last_pid = ref (-1) and last_loc = ref no_loc in
   let note_spin () =
     let p = !last_pid in
     if p >= 0 then begin
       last_pid := -1;
-      let l = locs.states.(!last_loc).loc in
+      let l = !last_loc in
       (* The fingerprint is read *after* the access committed: an
          access that left the location's epoch exactly where this
          processor last saw it made no progress. *)
@@ -278,9 +344,9 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
      another processor and not ordered before [p]'s next transition
      by happens-before. *)
   let race_check t p =
-    let k = find locs (S.pending_loc t p).M.id in
+    let k = find hb ((S.pending_loc t p).M.id - base) in
     if k >= 0 then begin
-      let l = locs.states.(k) in
+      let l = hb.states.(k) in
       let wr = is_write (S.pending_kind t p) in
       let step = if wr then l.acc_step else l.wr_step in
       let q = if wr then l.acc_pid else l.wr_pid in
@@ -288,12 +354,35 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
         add_backtrack (step - 1) p
     end
   in
+  (* Step [!depth]'s access by [p], logging what it overwrites. *)
   let record t p =
-    let k = touch locs n (S.pending_loc t p) in
-    let l = locs.states.(k) in
-    let step = Vec.length sched + 1 in
-    let wr = is_write (S.pending_kind t p) in
+    let loc = S.pending_loc t p and kind = S.pending_kind t p in
+    let key = loc.M.id - base in
+    let k = touch hb key in
+    let l = hb.states.(k) in
+    let s = !depth in
+    assert (hb.steps = s);
+    if s = Array.length hb.log then
+      hb.log <-
+        grow hb.log (fun () ->
+            { e_key = 0; e_kind = S.Acc_read; e_pid = 0; e_slot = 0;
+              e_acc_step = 0; e_acc_pid = 0; e_wr_step = 0; e_wr_pid = 0;
+              e_proc_cv = Array.make n 0; e_loc_cv = Array.make n 0 });
+    let e = hb.log.(s) in
+    let wr = is_write kind in
     let cv = proc_cv.(p) in
+    e.e_key <- key;
+    e.e_kind <- kind;
+    e.e_pid <- p;
+    e.e_slot <- k;
+    e.e_acc_step <- l.acc_step;
+    e.e_acc_pid <- l.acc_pid;
+    e.e_wr_step <- l.wr_step;
+    e.e_wr_pid <- l.wr_pid;
+    Array.blit cv 0 e.e_proc_cv 0 n;
+    Array.blit (if wr then l.wcv else l.rcv) 0 e.e_loc_cv 0 n;
+    let step = s + 1 in
+    hb.steps <- step;
     join cv l.wcv;
     if wr then join cv l.rcv;
     cv.(p) <- step;
@@ -304,9 +393,9 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
       l.wr_step <- step;
       l.wr_pid <- p
     end;
-    Vec.push sched p;
+    depth := step;
     last_pid := p;
-    last_loc := k
+    last_loc := loc
   in
   let dependent t q p =
     (S.pending_loc t q).M.id = (S.pending_loc t p).M.id
@@ -314,15 +403,25 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
   in
   let choose t runnable : S.choice =
     note_spin ();
-    let d = Vec.length sched in
+    let d = !depth in
     if d < Vec.length frames - 1 then begin
-      (* A decided step below the last frame: its race checks, enabled
-         set and sleep set are known (see the header).  [Replay] keeps
-         no frames. *)
+      (* A decided step below the last frame: its state is logged and
+         its race checks, enabled set and sleep set are known (see the
+         header).  [Replay] keeps no frames. *)
       let p = (Vec.get frames d).f_chosen in
       assert (mem p runnable && not (blocked t p));
-      record t p;
-      S.Fire p
+      let loc = S.pending_loc t p and e = hb.log.(d) in
+      if loc.M.id - base <> e.e_key || S.pending_kind t p <> e.e_kind then
+        raise
+          (Replay_diverged
+             (Printf.sprintf
+                "%s: step %d (p%d) does not replay the access logged for \
+                 it; prepare or the program is not deterministic"
+                program.name (d + 1) p));
+      depth := d + 1;
+      last_pid := p;
+      last_loc := loc;
+      hb.fire.(p)
     end
     else if d >= max_steps then begin
       status := Step_budget;
@@ -399,7 +498,7 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
               cur_sleep := !sleep
           | Naive | Replay _ -> ());
           record t pick;
-          S.Fire pick
+          hb.fire.(pick)
         end
     end
   in
@@ -409,6 +508,7 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
         ~procs:n inst.body
     with
     | (_ : Sim.stats) -> Ok ()
+    | exception (Replay_diverged _ as e) -> raise e
     | exception e -> Error e
   in
   let violations =
@@ -433,7 +533,11 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~locs
             ]
         | Sleep_blocked | Step_budget -> [])
   in
-  { schedule = Vec.to_array sched; status = !status; violations }
+  {
+    schedule = Array.init !depth (fun i -> hb.log.(i).e_pid);
+    status = !status;
+    violations;
+  }
 
 type outcome = {
   runs : int;  (** executions performed (sleep-blocked ones included) *)
@@ -448,7 +552,7 @@ type outcome = {
 
 let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
     ?(spin_threshold = 3) ?(seed = 0x5eed) ?(stop_on_violation = true) program =
-  let frames = Vec.create () and locs = new_locs () in
+  let frames = Vec.create () and hb = new_hb program.procs in
   let mode = if dpor then Dpor else Naive in
   let runs = ref 0
   and complete = ref 0
@@ -466,7 +570,7 @@ let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
          raise Exit
        end;
        let r =
-         run_once ~seed ~spin_threshold ~max_steps ~mode ~frames ~locs program
+         run_once ~seed ~spin_threshold ~max_steps ~mode ~frames ~hb program
        in
        incr runs;
        if Array.length r.schedule > !max_depth then
@@ -496,7 +600,8 @@ let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
                f.f_done <- f.f_done lor bit p
          end
        in
-       pop ()
+       pop ();
+       if not !exhausted then rewind hb (Vec.length frames - 1)
      done
    with Exit -> ());
   {
@@ -513,7 +618,7 @@ let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
 let replay ?(seed = 0x5eed) ?(spin_threshold = 3) ?(max_steps = 20_000) program
     schedule =
   run_once ~seed ~spin_threshold ~max_steps ~mode:(Replay schedule)
-    ~frames:(Vec.create ()) ~locs:(new_locs ()) program
+    ~frames:(Vec.create ()) ~hb:(new_hb program.procs) program
 
 (* --- Counterexample minimization and rendering ----------------------- *)
 

@@ -39,6 +39,13 @@ type outcome = {
   counterexample : (Monitor.violation * run) option;  (** first found *)
 }
 
+exception Replay_diverged of string
+(** Raised by {!explore} when a replayed step's pending access is not
+    the one logged for it by the execution that decided the step: the
+    program is not a deterministic function of its schedule (counting
+    location ids from the allocation watermark before [prepare]).  The
+    message names the program, the step and its pid. *)
+
 val explore :
   ?dpor:bool ->
   ?max_interleavings:int ->

@@ -22,6 +22,12 @@
    numbering from that value rather than from ad-hoc index
    arithmetic. *)
 
+let levels (config : Tree_config.t) =
+  Array.to_list
+    (Array.map
+       (fun (l : Tree_config.level) -> (l.prism_widths, l.spin))
+       config.levels)
+
 let ir ?(mode = `Pool) ?(eliminate = true) ?(leaf_order = `Natural) ?bug
     ?name (config : Tree_config.t) =
   let config = Tree_config.validate config in
@@ -33,15 +39,9 @@ let ir ?(mode = `Pool) ?(eliminate = true) ?(leaf_order = `Natural) ?bug
           (match mode with `Pool -> "pool" | `Stack -> "stack")
           config.width
   in
-  let levels =
-    Array.to_list
-      (Array.map
-         (fun (l : Tree_config.level) -> (l.prism_widths, l.spin))
-         config.levels)
-  in
   let net =
-    Netverify.Ir.elim_tree ~name ~mode ~eliminate ~leaf_order ?bug ~levels
-      ~width:config.width ()
+    Netverify.Ir.elim_tree ~name ~mode ~eliminate ~leaf_order ?bug
+      ~levels:(levels config) ~width:config.width ()
   in
   Netverify.Passes.assert_well_formed ~what:"Elim_tree.ir" net;
   net
@@ -84,10 +84,16 @@ module Make (E : Engine.S) = struct
     | _ -> ());
     (* Lower the configuration to the wiring IR (validated by the
        netverify well-formedness pass) and instantiate the runtime
-       balancers and leaf numbering from its plan. *)
-    let net = ir ~mode ~eliminate ~leaf_order ?bug config in
-    let attrs, leaf_index = Netverify.Ir.tree_plan net in
-    let width = net.Netverify.Ir.width in
+       balancers and leaf numbering from its plan.  The plan is derived
+       on the first construction of each distinct tree in the process
+       and shared by the later ones: the model checker builds the same
+       tree once per execution. *)
+    let attrs, leaf_index =
+      Netverify.Ir.cached_tree_plan ~mode ~eliminate ~leaf_order ?bug
+        ~levels:(levels config) ~width:config.width (fun () ->
+          ir ~mode ~eliminate ~leaf_order ?bug config)
+    in
+    let width = config.width in
     let location = Balancer.make_location ~capacity in
     let balancers =
       Array.init (Array.length attrs) (fun i ->

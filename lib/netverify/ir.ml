@@ -358,6 +358,22 @@ let tree_plan net =
         (attrs, leaf_index)
       end
 
+(* The plans of the trees built so far in this process, keyed by
+   [elim_tree]'s arguments without the name, which no plan depends on.
+   Host-level construction state, like a structure's uid counter.  Keys
+   and plans are immutable values, so a racing native construction can
+   only lose an entry, and a lost entry is derived again. *)
+let tree_plans = ref []
+
+let cached_tree_plan ~mode ~eliminate ~leaf_order ?bug ~levels ~width build =
+  let key = (mode, eliminate, leaf_order, bug, levels, width) in
+  match List.assoc_opt key !tree_plans with
+  | Some plan -> plan
+  | None ->
+      let plan = tree_plan (build ()) in
+      tree_plans := (key, plan) :: !tree_plans;
+      plan
+
 (* Runtime plan for a counting network: per-layer (top, bottom)
    physical-wire pairs plus the physical-wire -> logical-output map,
    reconstructed by threading physical positions through the nodes in

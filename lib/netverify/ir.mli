@@ -92,6 +92,21 @@ val tree_plan : network -> attrs array * int array
     attributes and the natural-position -> logical-output map, both
     reconstructed by walking the wires. *)
 
+val cached_tree_plan :
+  mode:mode ->
+  eliminate:bool ->
+  leaf_order:leaf_order ->
+  ?bug:defect ->
+  levels:(int list * int) list ->
+  width:int ->
+  (unit -> network) ->
+  attrs array * int array
+(** [tree_plan (build ())], where [build] lowers and checks the tree
+    {!elim_tree} makes of these arguments (any name).  It is derived on
+    the first call with equal arguments in this process and shared by
+    every later one, so callers only read it.  If [build] or the plan
+    raises, nothing is cached. *)
+
 val counting_plan : network -> (int * int) list array * int array
 (** Runtime plan for a well-formed counting network: per-layer
     (top, bottom) physical-wire pairs and the physical-wire ->

@@ -7,7 +7,8 @@
    (step-property counterexample found well under the 10k budget and
    byte-identically replayable), the centralized pool's deadlock under
    a starved dequeuer, golden exploration counts and counterexample
-   schedules, and the quiescent-consistency monitor. *)
+   schedules, the replay-divergence check, and the quiescent-consistency
+   monitor. *)
 
 module E = Sim.Engine
 module Ex = Check.Explore
@@ -83,6 +84,39 @@ let test_explore_deterministic () =
   check_int "complete" a.Ex.complete b.Ex.complete;
   check_int "sleep-blocked" a.Ex.sleep_blocked b.Ex.sleep_blocked;
   check_int "max depth" a.Ex.max_depth b.Ex.max_depth
+
+(* The explorer keeps the happens-before state of a replayed prefix
+   from the execution that logged it, keyed by location ids relative to
+   the watermark before [prepare].  This [prepare] allocates one extra
+   cell before the shared one on every second call, so the second
+   execution's replayed first step writes a cell whose key is not the
+   logged one.  Without the check the explorer would search the wrong
+   space and report nothing. *)
+let test_nondeterministic_prepare () =
+  let calls = ref 0 in
+  let prog =
+    {
+      Ex.name = "shifty";
+      procs = 2;
+      prepare =
+        (fun () ->
+          incr calls;
+          if !calls mod 2 = 0 then ignore (E.cell 0);
+          let c = E.cell 0 in
+          let body pid =
+            E.set c pid;
+            E.set c (pid + 2)
+          in
+          { Ex.body; at_quiescence = (fun () -> []) });
+    }
+  in
+  match Ex.explore prog with
+  | exception Ex.Replay_diverged msg ->
+      check_string "names the step"
+        "shifty: step 1 (p0) does not replay the access logged for it; \
+         prepare or the program is not deterministic"
+        msg
+  | o -> Alcotest.failf "explored %d executions without noticing" o.Ex.runs
 
 (* ------------------------------------------------------------------ *)
 (* Clean structures verify; DPOR prunes                                *)
@@ -299,6 +333,8 @@ let () =
           Alcotest.test_case "schedule codec" `Quick test_schedule_codec;
           Alcotest.test_case "toy interleaving counts" `Quick test_toy_counts;
           Alcotest.test_case "deterministic" `Quick test_explore_deterministic;
+          Alcotest.test_case "nondeterministic prepare raises" `Quick
+            test_nondeterministic_prepare;
           Alcotest.test_case "clean scenarios verify" `Slow
             test_clean_scenarios;
           Alcotest.test_case "dpor prunes the tree" `Slow test_dpor_prunes_tree;

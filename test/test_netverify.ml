@@ -3,8 +3,9 @@
    plans agree with the constructions' documented numbering, the
    seeded skip-toggle-on-miss defect is rejected with the canonical
    3-token counterexample (golden fixture + dynamic replay through the
-   model checker), and random IR mutations — miswired shapes — are
-   rejected with the right error class. *)
+   model checker), random IR mutations — miswired shapes — are
+   rejected with the right error class, and [Elim_tree.create] derives
+   each distinct tree's plan once. *)
 
 module Ir = Netverify.Ir
 module Passes = Netverify.Passes
@@ -272,6 +273,92 @@ let test_assert_well_formed_diagnostic () =
         in
         has_code)
 
+(* ------------------------------------------------------------------ *)
+(* The plan memo behind Elim_tree.create                               *)
+(* ------------------------------------------------------------------ *)
+
+module Tree = Core.Elim_tree.Make (Sim.Engine)
+
+(* The memo lookup [Elim_tree.create] makes for [config] (elimination
+   on), with [build] run on a miss.  Each test uses spin bases no other
+   test builds, so the memo starts without their trees. *)
+let cached_plan ?(mode = `Pool) ?(leaf_order = `Natural) config build =
+  Ir.cached_tree_plan ~mode ~eliminate:true ~leaf_order
+    ~levels:
+      (Array.to_list
+         (Array.map
+            (fun (l : Core.Tree_config.level) -> (l.prism_widths, l.spin))
+            config.Core.Tree_config.levels))
+    ~width:config.Core.Tree_config.width build
+
+let derive ?(mode = `Pool) ?(leaf_order = `Natural) config =
+  Ir.tree_plan (Core.Elim_tree.ir ~mode ~leaf_order config)
+
+let test_memo_shares_plans () =
+  let config = Core.Tree_config.etree ~spin_base:48 8 in
+  let (_ : unit Tree.t) = Tree.create ~capacity:2 config in
+  let (_ : unit Tree.t) = Tree.create ~capacity:2 config in
+  let derived = ref 0 in
+  let build () =
+    incr derived;
+    Core.Elim_tree.ir config
+  in
+  let a = cached_plan config build in
+  let b = cached_plan config build in
+  check_int "create derived the plan, no later lookup does" 0 !derived;
+  check_bool "one shared plan" true (a == b);
+  check_bool "the plan of the tree" true (a = derive config)
+
+let test_memo_distinct_plans () =
+  let trees =
+    [
+      (`Pool, `Natural, Core.Tree_config.etree ~spin_base:40 8);
+      (`Pool, `Natural, Core.Tree_config.etree ~spin_base:56 8);
+      (`Stack, `Interleaved, Core.Tree_config.etree ~spin_base:40 8);
+      (`Pool, `Natural, Core.Tree_config.etree ~spin_base:40 16);
+    ]
+  in
+  let plans =
+    List.map
+      (fun (mode, leaf_order, config) ->
+        let (_ : unit Tree.t) =
+          Tree.create ~mode ~leaf_order ~capacity:2 config
+        in
+        let plan =
+          cached_plan ~mode ~leaf_order config (fun () ->
+              Alcotest.fail "create did not cache the plan")
+        in
+        check_bool "the plan of its own tree" true
+          (plan = derive ~mode ~leaf_order config);
+        plan)
+      trees
+  in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b -> if i < j then check_bool "distinct plans" false (a = b))
+        plans)
+    plans
+
+let test_memo_invalid_raises () =
+  let bad = { (Core.Tree_config.etree 8) with Core.Tree_config.width = 6 } in
+  for _ = 1 to 2 do
+    match Tree.create ~capacity:2 bad with
+    | (_ : unit Tree.t) -> Alcotest.fail "a width-6 tree was built"
+    | exception Invalid_argument _ -> ()
+  done;
+  let config = Core.Tree_config.etree ~spin_base:24 4 in
+  (match cached_plan config (fun () -> invalid_arg "no tree") with
+  | _ -> Alcotest.fail "a raising build yielded a plan"
+  | exception Invalid_argument _ -> ());
+  let derived = ref 0 in
+  let (_ : Ir.attrs array * int array) =
+    cached_plan config (fun () ->
+        incr derived;
+        Core.Elim_tree.ir config)
+  in
+  check_int "a raising build caches nothing" 1 !derived
+
 let () =
   Alcotest.run "netverify"
     [
@@ -302,5 +389,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_seeded_bug_any_width;
           Alcotest.test_case "constructor diagnostics are coded" `Quick
             test_assert_well_formed_diagnostic;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "equal trees share one plan" `Quick
+            test_memo_shares_plans;
+          Alcotest.test_case "each tree gets its own plan" `Quick
+            test_memo_distinct_plans;
+          Alcotest.test_case "invalid trees raise every call" `Quick
+            test_memo_invalid_raises;
         ] );
     ]

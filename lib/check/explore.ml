@@ -252,7 +252,8 @@ let touch hb key =
       hb.keys <- Array.make size no_key;
       hb.index <- Array.make size 0;
       Array.iteri
-        (fun i key -> if key <> no_key then insert hb.keys hb.index key index.(i))
+        (fun i key ->
+          if key <> no_key then insert hb.keys hb.index key index.(i))
         keys
     end;
     insert hb.keys hb.index key k;

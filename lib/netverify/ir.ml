@@ -360,9 +360,10 @@ let tree_plan net =
 
 (* The plans of the trees built so far in this process, keyed by
    [elim_tree]'s arguments without the name, which no plan depends on.
-   Host-level construction state, like a structure's uid counter.  Keys
-   and plans are immutable values, so a racing native construction can
-   only lose an entry, and a lost entry is derived again. *)
+   Host-level construction state, like a structure's uid counter.  No
+   list cell, key or plan is mutated once published, so a racing native
+   construction can only lose an entry, and a lost entry is derived
+   again. *)
 let tree_plans = ref []
 
 let cached_tree_plan ~mode ~eliminate ~leaf_order ?bug ~levels ~width build =

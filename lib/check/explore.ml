@@ -180,15 +180,15 @@ type entry = {
    one execution to the next (see the header).  A location's key is
    its id relative to the watermark taken before [prepare]; the key
    table is open-addressed with linear probing and at most half full.
-   [log.(i)] is step i's entry for i < [steps]. *)
+   [log] holds step i's entry at i for i < [steps]; the entries past
+   [steps] are spares for the next steps to reuse. *)
 type hb = {
   n : int;
   proc_cv : int array array;
-  mutable count : int;  (* locations with a record *)
-  mutable states : loc_state array;  (* by index *)
+  states : loc_state Vec.t;
   mutable keys : int array;  (* location key, [no_key] = empty *)
   mutable index : int array;  (* the key's index in [states] *)
-  mutable log : entry array;
+  log : entry Vec.t;
   mutable steps : int;
   fire : S.choice array;  (* [Fire p] by pid, built once *)
 }
@@ -199,21 +199,13 @@ let new_hb n =
   {
     n;
     proc_cv = Array.init n (fun _ -> Array.make n 0);
-    count = 0;
-    states = [||];
+    states = Vec.create ();
     keys = Array.make 64 no_key;
     index = Array.make 64 0;
-    log = [||];
+    log = Vec.create ();
     steps = 0;
     fire = Array.init n (fun p -> S.Fire p);
   }
-
-(* [a] with room for twice as many elements, the new ones from
-   [fresh]. *)
-let grow a fresh =
-  Array.init
-    (max 64 (2 * Array.length a))
-    (fun j -> if j < Array.length a then a.(j) else fresh ())
 
 let rec probe keys key mask i =
   let k = keys.(i) in
@@ -239,14 +231,11 @@ let touch hb key =
   let k = find hb key in
   if k >= 0 then k
   else begin
-    let k = hb.count in
-    hb.count <- k + 1;
-    if k = Array.length hb.states then
-      hb.states <-
-        grow hb.states (fun () ->
-            { acc_step = 0; acc_pid = 0; wr_step = 0; wr_pid = 0;
-              wcv = Array.make hb.n 0; rcv = Array.make hb.n 0 });
-    if 2 * hb.count > Array.length hb.keys then begin
+    let k = Vec.length hb.states in
+    Vec.push hb.states
+      { acc_step = 0; acc_pid = 0; wr_step = 0; wr_pid = 0;
+        wcv = Array.make hb.n 0; rcv = Array.make hb.n 0 };
+    if 2 * (k + 1) > Array.length hb.keys then begin
       let keys = hb.keys and index = hb.index in
       let size = 2 * Array.length keys in
       hb.keys <- Array.make size no_key;
@@ -263,8 +252,8 @@ let touch hb key =
 (* Undo the logged steps, newest first, until [s] remain. *)
 let rewind hb s =
   while hb.steps > s do
-    let e = hb.log.(hb.steps - 1) in
-    let l = hb.states.(e.e_slot) in
+    let e = Vec.get hb.log (hb.steps - 1) in
+    let l = Vec.get hb.states e.e_slot in
     Array.blit e.e_proc_cv 0 hb.proc_cv.(e.e_pid) 0 hb.n;
     Array.blit e.e_loc_cv 0 (if is_write e.e_kind then l.wcv else l.rcv) 0 hb.n;
     l.acc_step <- e.e_acc_step;
@@ -347,7 +336,7 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~hb
   let race_check t p =
     let k = find hb ((S.pending_loc t p).M.id - base) in
     if k >= 0 then begin
-      let l = hb.states.(k) in
+      let l = Vec.get hb.states k in
       let wr = is_write (S.pending_kind t p) in
       let step = if wr then l.acc_step else l.wr_step in
       let q = if wr then l.acc_pid else l.wr_pid in
@@ -360,16 +349,15 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~hb
     let loc = S.pending_loc t p and kind = S.pending_kind t p in
     let key = loc.M.id - base in
     let k = touch hb key in
-    let l = hb.states.(k) in
+    let l = Vec.get hb.states k in
     let s = !depth in
     assert (hb.steps = s);
-    if s = Array.length hb.log then
-      hb.log <-
-        grow hb.log (fun () ->
-            { e_key = 0; e_kind = S.Acc_read; e_pid = 0; e_slot = 0;
-              e_acc_step = 0; e_acc_pid = 0; e_wr_step = 0; e_wr_pid = 0;
-              e_proc_cv = Array.make n 0; e_loc_cv = Array.make n 0 });
-    let e = hb.log.(s) in
+    if s = Vec.length hb.log then
+      Vec.push hb.log
+        { e_key = 0; e_kind = S.Acc_read; e_pid = 0; e_slot = 0;
+          e_acc_step = 0; e_acc_pid = 0; e_wr_step = 0; e_wr_pid = 0;
+          e_proc_cv = Array.make n 0; e_loc_cv = Array.make n 0 };
+    let e = Vec.get hb.log s in
     let wr = is_write kind in
     let cv = proc_cv.(p) in
     e.e_key <- key;
@@ -411,7 +399,7 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~hb
          header).  [Replay] keeps no frames. *)
       let p = (Vec.get frames d).f_chosen in
       assert (mem p runnable && not (blocked t p));
-      let loc = S.pending_loc t p and e = hb.log.(d) in
+      let loc = S.pending_loc t p and e = Vec.get hb.log d in
       if loc.M.id - base <> e.e_key || S.pending_kind t p <> e.e_kind then
         raise
           (Replay_diverged
@@ -535,7 +523,7 @@ let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~hb
         | Sleep_blocked | Step_budget -> [])
   in
   {
-    schedule = Array.init !depth (fun i -> hb.log.(i).e_pid);
+    schedule = Array.init !depth (fun i -> (Vec.get hb.log i).e_pid);
     status = !status;
     violations;
   }

@@ -12,7 +12,8 @@ type instance = {
 type program = { name : string; procs : int; prepare : unit -> instance }
 (** [prepare] must build a fresh structure (and ledger) per execution:
     the explorer replays the program from scratch for every explored
-    interleaving. *)
+    interleaving.  It and [body] must be deterministic functions of the
+    schedule, down to the order in which they allocate locations. *)
 
 type status =
   | Complete

@@ -302,6 +302,14 @@ let chaos_cmd =
   let run procs seed horizon fault_seed stall crash hotspot jitter meth =
     need_procs "chaos" procs;
     need_horizon "chaos" horizon;
+    (* A fault flag that would build no fault would run the ladder
+       instead of the comparison it asks for. *)
+    if crash < 0 then reject "chaos" "--crash must not be negative, got %d" crash;
+    if jitter < 0 then
+      reject "chaos" "--jitter must not be negative, got %d" jitter;
+    if crash > 0 && procs < 2 then
+      reject "chaos" "--crash needs two processors or more, got --procs %d"
+        procs;
     let methods =
       match meth with
       | None -> W.Chaos.default_methods

@@ -217,6 +217,16 @@ let injector t =
           stall_windows.(pid) <- (at, at + cycles) :: stall_windows.(pid)
       | Hotspot _ | Jitter _ -> ())
     t.events;
+  (* The last window's end: from there on no hook depends on time. *)
+  let quiet_from =
+    List.fold_left
+      (fun acc -> function
+        | Stall { at; cycles; _ } -> max acc (at + cycles)
+        | Crash { at; _ } -> max acc at
+        | Hotspot { until_; _ } -> max acc until_
+        | Jitter { until_; amp; _ } -> if amp > 0 then max acc until_ else acc)
+      0 t.events
+  in
   let seed = t.seed in
   let on_event ~pid ~time =
     if pid > max_pid then Sim.Scheduler.Fault_proceed
@@ -254,4 +264,4 @@ let injector t =
         else acc)
       0 jitters
   in
-  { Sim.Scheduler.on_event; mem_latency; delay_jitter }
+  { Sim.Scheduler.on_event; mem_latency; delay_jitter; quiet_from }

@@ -92,4 +92,9 @@ val faulty_pids : t -> int list
 
 val injector : t -> Sim.Scheduler.injector
 (** Compile the plan into scheduler hooks.  Pure: two injectors from
-    equal plans behave identically. *)
+    equal plans behave identically.  Its [quiet_from] is the end of the
+    plan's last window, the latest of every stall's [at + cycles], every
+    crash's [at], every hot spot's [until_] and every jitter's [until_]
+    when its [amp > 0]; it is 0 for an empty plan.  From that cycle on
+    no hook depends on time, and a run leaves the injector once every
+    planned crash has fired. *)

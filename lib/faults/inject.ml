@@ -1,8 +1,7 @@
 (* Running simulations under a fault plan: compile the plan once and
-   hand it to the scheduler as its injector. *)
+   hand it to the scheduler as its injector.  The run leaves the
+   injector once the plan has gone quiet, at once for an empty plan. *)
 
 let run ?seed ?config ?abort_after ~plan ~procs body =
-  if Fault_plan.is_none plan then Sim.run ?seed ?config ?abort_after ~procs body
-  else
-    let injector = Fault_plan.injector plan in
-    Sim.run ?seed ?config ?abort_after ~injector ~procs body
+  let injector = Fault_plan.injector plan in
+  Sim.run ?seed ?config ?abort_after ~injector ~procs body

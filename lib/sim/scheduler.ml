@@ -37,18 +37,17 @@
 
    Spin groups.  Waiters in step with one another make most of the
    events of a polling workload, and they fire together.  In a run with
-   no controller, no injector and non-serialized reads, all fixed when
-   the run starts, every spin step costs the same: a read
-   [read_latency], a pause 1.  The step loop of those runs
-   ([group_loop]) keeps each run of spin steps in one phase, due in one
-   cycle under consecutive seqs, as one queue entry: a group, whose
-   leader's pid stands for its [k] members in seq order.  Firing the
-   entry fires the members back to back, takes on any spin entry in the
-   same phase right behind it in its bucket, and queues the members'
+   no controller, no injector and non-serialized reads, every spin step
+   costs the same: a read [read_latency], a pause 1.  The step loop of
+   those runs ([group_loop]) keeps each run of spin steps in one phase,
+   due in one cycle under consecutive seqs, as one queue entry: a group,
+   whose leader's pid stands for its [k] members in seq order.  Firing
+   the entry fires the members back to back, takes on any spin entry in
+   the same phase right behind it in its bucket, and queues the members'
    next steps as one entry again.  A read that satisfies its predicate
    splits the group: the failed members before it are queued, then its
-   processor resumes, and the members after it go on.  Every event,
-   seq, counter and value is what the one-event loop produces:
+   processor resumes, and the members after it go on.  Every event, seq,
+   counter and value is what the one-event loop produces:
    - Within a bucket, FIFO order is seq order (event_wheel.ml).  A
      group queued at seq [s] takes [s .. s + k - 1], and [t.seq]
      advances by [k], so no other entry can sit between its members,
@@ -74,10 +73,40 @@
    [time - read_latency] and a pause at [time - 1].  With no hook on, a
    group's pauses end with its member list as it is, and only their
    count is added.  At the horizon, [Event_wheel.drain] hands a group's
-   members to [abort] one by one, in seq order.  An injector gives each
-   member its own verdict, latency and jitter, and serialized reads
-   queue each member's read behind the others', so their runs keep the
-   one-event loop, as do controlled runs and one-processor runs.
+   members to [abort] one by one, in seq order.  Inside an injector's
+   fault window each member gets its own verdict, latency and jitter,
+   and serialized reads queue each member's read behind the others', so
+   those runs keep the one-event loop, as do controlled runs and
+   one-processor runs.
+
+   Leaving an injector.  From its [quiet_from] cycle on, an injector's
+   hooks no longer depend on time (scheduler.mli), so a run can leave
+   it once its plan has gone quiet.  At the first event at or after
+   [quiet_from], and again at the first event after each later crash,
+   [inject_loop] checks that every processor with a pending event
+   proceeds at [quiet_from]; a processor whose planned crash has not
+   fired yet fails the check until it is dropped.  Once the check
+   holds, the run leaves at the first event due after [quiet_from] and
+   after every spin step pending then ([t.finish]): [t.injector]
+   becomes [None], and a run of two processors or more with
+   non-serialized reads goes on in [group_loop], the others in the
+   one-event loop.  The run is exactly the one that never leaves:
+   - From the check on, the hooks are the identity for every live
+     processor: each verdict is its verdict at [quiet_from], [Proceed],
+     and latencies and delays issued at or after [quiet_from] cost
+     their base.  So the injector loop fires, charges and counts
+     exactly as the hook-free one-event loop would, and leaving changes
+     nothing there.
+   - [group_loop] is that loop, by the spin-group argument above.  Its
+     cost assumptions hold for every spin step issued at or after
+     [quiet_from]; the steps pending at the check may have been costed
+     by the injector, with a hot spot's latency or a jittered pause,
+     and a hooked group step would re-derive their issue times from
+     the base cost.  They all fire before the run leaves, and every
+     step pending when it leaves was issued after the check.  A
+     deferral ends by [quiet_from], so no deferred step is left either.
+   - Entries queued before leaving keep their keys.  They are
+     single-member entries, and they fire in key order.
 
    An operation's side effect executes when its event fires ([commit]),
    not when it is issued: operations therefore linearize in
@@ -129,7 +158,9 @@ type choice = Fire of int | Quit
    points: before any processor event fires (stall/crash), when a
    memory operation's service cost is computed (hot spots), and when a
    [Delay] is issued (jitter).  All hooks must be pure, so that a run
-   remains a deterministic function of (seed, plan). *)
+   remains a deterministic function of (seed, plan).  From [quiet_from]
+   on they no longer depend on time (the contract is in
+   scheduler.mli). *)
 
 type fault_action = Fault_proceed | Fault_defer of int | Fault_drop
 
@@ -137,6 +168,7 @@ type injector = {
   on_event : pid:int -> time:int -> fault_action;
   mem_latency : loc:Memory.loc -> pid:int -> now:int -> base:int -> int;
   delay_jitter : pid:int -> now:int -> base:int -> int;
+  quiet_from : int;
 }
 
 let no_injector =
@@ -144,6 +176,7 @@ let no_injector =
     on_event = (fun ~pid:_ ~time:_ -> Fault_proceed);
     mem_latency = (fun ~loc:_ ~pid:_ ~now:_ ~base -> base);
     delay_jitter = (fun ~pid:_ ~now:_ ~base:_ -> 0);
+    quiet_from = max_int;
   }
 
 type controller = t -> int -> choice
@@ -154,7 +187,7 @@ and t = {
   body : int -> unit;
   queue : Event_wheel.t; (* controlled runs share Event_wheel.none *)
   rngs : Engine.Splitmix.t array;
-  injector : injector option;
+  mutable injector : injector option; (* None once the run leaves it *)
   controller : controller option;
   slots : slot array;
   (* the parked operation's issue time, service window (a delay's
@@ -490,8 +523,9 @@ let fire_at t time p =
   fire t p
 
 (* Spin groups: the hook-free step loop, for runs of two processors or
-   more with no controller, no injector and non-serialized reads (see
-   the header).  A group is one queue entry, its leader's pid, standing
+   more with no controller and non-serialized reads, from the start
+   with no injector, or once the run has left its injector (see the
+   header).  A group is one queue entry, its leader's pid, standing
    for the spin steps of [size] processors in one phase, due together
    under consecutive seqs.  The leader's [pausing] flag is the group's
    phase; every other member's flag stays set, as its last failed read
@@ -662,6 +696,86 @@ let rec group_loop t g ~horizon =
   end
   else if not (Event_wheel.is_empty t.queue) then unwind_groups t g
 
+(* Leaving an injector (see the header).  Does every processor with a
+   pending event, [p] and after, proceed at [inj.quiet_from]? *)
+let rec proceed_all t inj p =
+  p >= t.nprocs
+  || (match t.slots.(p) with
+     | Idle -> true
+     | Start | Parked _ -> (
+         match inj.on_event ~pid:p ~time:inj.quiet_from with
+         | Fault_proceed -> true
+         | Fault_defer _ | Fault_drop -> false))
+     && proceed_all t inj (p + 1)
+
+(* The latest of [time] and the due times of the spin steps of [p] and
+   after, pending now. *)
+let rec spins_due t p time =
+  if p >= t.nprocs then time
+  else
+    match t.slots.(p) with
+    | Parked (_, Spin _) when t.finish.(p) > time ->
+        spins_due t (p + 1) t.finish.(p)
+    | _ -> spins_due t (p + 1) time
+
+let leave t time p =
+  t.injector <- None;
+  fire_at t time p
+
+(* The one-event loop under an injector: every event is put to
+   [inj.on_event] first.  A deferred event is queued again at the
+   stall's end, and a dropped one crash-stops its processor: the parked
+   continuation is discarded without unwinding, so cleanup code never
+   runs and any held lock stays held.  From the first event due at or
+   after [gate], the loop checks whether it may leave: once the check
+   holds ([quiet]), it leaves at the first event due after the spin
+   steps pending then, and [run] goes on without the injector. *)
+let rec inject_loop t inj ~horizon ~gate ~quiet =
+  let q = t.queue in
+  let p = Event_wheel.pop_due q ~horizon in
+  if p >= 0 then begin
+    let time = Event_wheel.cursor q in
+    if time < gate then inject_fire t inj ~horizon ~gate ~quiet time p
+    else if quiet then leave t time p
+    else if proceed_all t inj 0 then begin
+      let after = spins_due t 0 inj.quiet_from in
+      if time > after then leave t time p
+      else inject_fire t inj ~horizon ~gate:(after + 1) ~quiet:true time p
+    end
+    else inject_fire t inj ~horizon ~gate:max_int ~quiet time p
+  end
+  else if not (Event_wheel.is_empty q) then
+    (* The earliest event is past the horizon. *)
+    Event_wheel.drain q ~next:Event_wheel.no_members (fun p -> abort t p)
+
+and inject_fire t inj ~horizon ~gate ~quiet time p =
+  match inj.on_event ~pid:p ~time with
+  | Fault_proceed ->
+      fire_at t time p;
+      inject_loop t inj ~horizon ~gate ~quiet
+  | Fault_defer until ->
+      t.fault_defers <- t.fault_defers + 1;
+      let until = if until <= time then time + 1 else until in
+      if Etrace.on Etrace.lv_ops then
+        Etrace.emit (Etrace.Event.Fault_stall { pid = p; time; until });
+      Event_wheel.push t.queue ~time:until ~seq:t.seq p;
+      t.seq <- t.seq + 1;
+      inject_loop t inj ~horizon ~gate ~quiet
+  | Fault_drop ->
+      t.slots.(p) <- Idle;
+      t.clock <- time;
+      t.live <- t.live - 1;
+      t.crashed <- t.crashed + 1;
+      if Etrace.on Etrace.lv_ops then begin
+        Etrace.emit (Etrace.Event.Fault_crash { pid = p; time });
+        Etrace.emit
+          (Etrace.Event.Proc_end
+             { pid = p; time; reason = Etrace.Event.Crashed })
+      end;
+      (* A check that failed is made again at the next event. *)
+      let gate = if quiet || time < inj.quiet_from then gate else time in
+      inject_loop t inj ~horizon ~gate ~quiet
+
 (* Process-cumulative counters across every completed [run] — the
    deterministic odometer the benchmark meta probe (Report.Meta) reads
    around each experiment.  Updated once per run, on the normal return
@@ -674,11 +788,8 @@ let totals () = !grand
 (* Run [procs] simulated processors, each executing [body pid], until
    every processor terminates or the clock passes [abort_after] (at which
    point the remaining processors are unwound with {!Aborted}).  With an
-   [injector], every processor event is submitted to it first: deferred
-   events are re-queued at the stall's end, and dropped events
-   crash-stop their processor — the parked continuation is discarded
-   without unwinding, so cleanup code never runs and any held lock
-   stays held, which is exactly crash-stop semantics. *)
+   [injector], every processor event is submitted to it first
+   ([inject_loop]) until the run leaves it. *)
 let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
     ?injector ?controller ~procs body =
   if procs <= 0 then invalid_arg "Sim.run: procs must be positive";
@@ -794,40 +905,15 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
     in
     step ()
   in
-  (* The step loop takes each event off the queue with one [pop_due]
+  (* The step loops take each event off the queue with one [pop_due]
      before firing it: no option, no tuple, no entry record, zero heap
-     allocation per event (@allocheck). *)
+     allocation per event (@allocheck).  This one is the hook-free
+     one-event loop. *)
   let q = t.queue in
   let rec loop () =
     let p = Event_wheel.pop_due q ~horizon in
     if p >= 0 then begin
-      let time = Event_wheel.cursor q in
-      (match t.injector with
-      | None -> fire_at t time p
-      | Some inj -> (
-          match inj.on_event ~pid:p ~time with
-          | Fault_proceed -> fire_at t time p
-          | Fault_defer until ->
-              t.fault_defers <- t.fault_defers + 1;
-              let until = if until <= time then time + 1 else until in
-              if Etrace.on Etrace.lv_ops then
-                Etrace.emit (Etrace.Event.Fault_stall { pid = p; time; until });
-              Event_wheel.push q ~time:until ~seq:t.seq p;
-              t.seq <- t.seq + 1
-          | Fault_drop ->
-              (* Crash-stop: the processor's sole pending event dies and
-                 with it the processor; the continuation is dropped
-                 unresumed, so no cleanup handlers run. *)
-              t.slots.(p) <- Idle;
-              t.clock <- time;
-              t.live <- t.live - 1;
-              t.crashed <- t.crashed + 1;
-              if Etrace.on Etrace.lv_ops then begin
-                Etrace.emit (Etrace.Event.Fault_crash { pid = p; time });
-                Etrace.emit
-                  (Etrace.Event.Proc_end
-                     { pid = p; time; reason = Etrace.Event.Crashed })
-              end));
+      fire_at t (Event_wheel.cursor q) p;
       loop ()
     end
     else if not (Event_wheel.is_empty q) then
@@ -836,11 +922,18 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
   in
   (match controller with
   | Some c -> ctl_loop c
-  | None ->
-      if t.nprocs > 1 && Option.is_none t.injector
-         && not t.config.reads_serialize
-      then group_loop t (groups t.nprocs) ~horizon
-      else loop ());
+  | None -> (
+      (match t.injector with
+      | Some inj ->
+          inject_loop t inj ~horizon ~gate:inj.quiet_from ~quiet:false
+      | None -> ());
+      (* With no injector, or once the run has left it. *)
+      match t.injector with
+      | Some _ -> ()
+      | None ->
+          if t.nprocs > 1 && not t.config.reads_serialize then
+            group_loop t (groups t.nprocs) ~horizon
+          else loop ()));
   assert (t.live = 0);
   grand :=
     {

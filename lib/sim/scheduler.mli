@@ -26,11 +26,13 @@
     with the events, seqs, counters and tracer calls of the hand-written
     [get]/[cpu_relax] loop.  The processor resumes only on a read that
     satisfies the predicate, and its slot is cleared then.  In a run of
-    two processors or more with no controller, no injector and
-    non-serialized reads, the spin steps due in one cycle in one phase
-    under consecutive seqs are one queue entry, a spin group, and fire
-    back to back; the events, seqs, counters and hook calls are still
-    those of the one-event loop (the argument is in scheduler.ml).
+    two processors or more with no controller and non-serialized reads,
+    from the start with no injector or once the run has left its
+    injector (see {!injector}), the spin steps due in one cycle in one
+    phase under consecutive seqs are one queue entry, a spin group, and
+    fire back to back; the events, seqs, counters and hook calls are
+    still those of the one-event loop (the argument is in
+    scheduler.ml).
 
     This module is the simulator's engine room; user code should go
     through [Sim.run] and [Sim.Engine]. *)
@@ -94,7 +96,16 @@ type choice =
     An {!injector} is the scheduler-side surface of a fault plan (see
     [Faults.Fault_plan]).  All three hooks must be pure functions of
     their arguments so that a run under an injector remains a
-    deterministic function of [(seed, plan)]. *)
+    deterministic function of [(seed, plan)].
+
+    A run leaves its injector once the injector has gone quiet: from
+    the first event at or after [quiet_from], and after each later
+    crash, it checks that every processor with a pending event proceeds
+    at [quiet_from].  Once that holds, it leaves at the first event due
+    after [quiet_from] and after every spin step pending then: [injector]
+    becomes [None], and a run of two processors or more with
+    non-serialized reads goes on in the spin-group loop.  Nothing a run
+    reports changes (the argument is in scheduler.ml). *)
 
 type fault_action =
   | Fault_proceed            (** no fault: fire the event now *)
@@ -111,10 +122,23 @@ type injector = {
           clamped to 1 *)
   delay_jitter : pid:int -> now:int -> base:int -> int;
       (** extra cycles added to a [Delay base] issued at [now] *)
+  quiet_from : int;
+      (** the cycle from which the hooks no longer depend on time.  For
+          every [time >= quiet_from]:
+          - [on_event ~pid ~time] is [on_event ~pid ~time:quiet_from],
+            and never [Fault_defer];
+          - [mem_latency] returns [base];
+          - [delay_jitter] returns 0.
+
+          A [Fault_defer until] returned before it has
+          [until <= quiet_from].  [max_int] promises nothing: the run
+          keeps the injector to its end. *)
 }
 
 val no_injector : injector
-(** The identity injector: proceeds, never scales, never jitters. *)
+(** The identity injector: proceeds, never scales, never jitters.  Its
+    [quiet_from] is [max_int], so an injector built from it with
+    [{ no_injector with on_event }] keeps its hook for the whole run. *)
 
 type controller = t -> int -> choice
 (** [choose t runnable] is called with the running scheduler and the
@@ -131,7 +155,9 @@ and t = {
   queue : Event_wheel.t;
       (** pids by (time, seq); controlled runs share {!Event_wheel.none} *)
   rngs : Engine.Splitmix.t array;
-  injector : injector option;
+  mutable injector : injector option;
+      (** the run's injector, [None] from the start without one or once
+          the run has left it *)
   controller : controller option;
   slots : slot array;  (** per-pid pending event *)
   issued : int array;  (** per-pid: when the parked operation was issued *)

@@ -92,7 +92,8 @@ let test_jitter_deterministic () =
   check_bool "jitter never speeds things up" true
     (a.Sim.end_clock >= base.Sim.end_clock)
 
-(* The none-plan fast path is byte-for-byte the plain simulator. *)
+(* An empty plan is quiet from cycle 0: the run leaves its injector at
+   the first event after it and is byte-for-byte the plain simulator. *)
 let test_none_plan_neutral () =
   let body p = for _ = 1 to 20 do E.delay (10 + p) done in
   let a = Sim.run ~procs:8 body in
@@ -124,6 +125,120 @@ let test_parse_pair () =
   check_bool "rejects zero" true (Result.is_error (FP.parse_pair "0x5"));
   check_bool "rejects junk" true (Result.is_error (FP.parse_pair "8"));
   check_bool "rejects empty" true (Result.is_error (FP.parse_pair "x"))
+
+(* ------------------------------------------------------------------ *)
+(* When a plan goes quiet                                              *)
+(* ------------------------------------------------------------------ *)
+
+let quiet_from plan = (FP.injector plan).Sim.Scheduler.quiet_from
+
+let test_quiet_from_values () =
+  let plan events = { FP.seed = 3; events } in
+  check_int "stalls: the last one's end" 320
+    (quiet_from
+       (plan
+          [
+            FP.Stall { pid = 0; at = 150; cycles = 100 };
+            FP.Stall { pid = 1; at = 300; cycles = 20 };
+            FP.Stall { pid = 0; at = 40; cycles = 5 };
+          ]));
+  check_int "crashes: the last one" 200
+    (quiet_from
+       (plan [ FP.Crash { pid = 1; at = 200 }; FP.Crash { pid = 2; at = 90 } ]));
+  check_int "hot spot: its window's end" 750
+    (quiet_from (FP.hotspot ~from_:250 ~until_:750 ~factor:8 ()));
+  check_int "jitter: its window's end" 1_000
+    (quiet_from (FP.jitter ~from_:10 ~until_:1_000 ~amp:64));
+  check_int "jitter of amplitude 0: never a fault" 0
+    (quiet_from (FP.jitter ~from_:10 ~until_:1_000 ~amp:0));
+  check_int "none: from the start" 0 (quiet_from FP.none)
+
+(* Random plans, ladders and unions of every class with random windows,
+   probed for every pid at the boundaries of the plan's windows, one
+   cycle either side, and a spread of later cycles.  At or after
+   [quiet_from], [on_event] is its verdict at [quiet_from] and never
+   defers, [mem_latency] is the base cost on every location, and
+   [delay_jitter] is 0; before it, a deferral never ends after it. *)
+let gen_quiet_plan =
+  let open QCheck.Gen in
+  let* seed = int_bound 10_000 in
+  let* procs = int_range 1 16 in
+  let* horizon = int_range 1 5_000 in
+  let* kind = int_bound 4 in
+  if kind < 4 then return (procs, FP.ladder ~seed ~procs ~horizon ~level:kind)
+  else
+    let window =
+      map2 (fun a b -> (min a b, max a b)) (int_bound horizon) (int_bound horizon)
+    in
+    let* stalls = int_bound 3 in
+    let* cycles = int_range 1 500 in
+    let* crash = int_bound 3 in
+    let* hot = opt window in
+    let* jitter = opt (pair window (int_bound 3)) in
+    let+ num = int_range 1 2 in
+    let hot =
+      Option.map
+        (fun (from_, until_) ->
+          FP.hotspot ~salt:seed ~num ~den:2 ~from_ ~until_ ~factor:4 ())
+        hot
+    and jitter =
+      Option.map
+        (fun ((from_, until_), amp) -> FP.jitter ~from_ ~until_ ~amp)
+        jitter
+    in
+    ( procs,
+      FP.union ~seed
+        ([
+           FP.stalls ~seed ~procs ~horizon ~count:stalls ~cycles;
+           FP.crashes ~seed ~procs ~horizon ~count:crash;
+         ]
+        @ Option.to_list hot @ Option.to_list jitter) )
+
+let quiet_contract_holds (procs, plan) =
+  let inj = FP.injector plan in
+  let q = inj.Sim.Scheduler.quiet_from in
+  let locs = List.init 8 (fun _ -> (Sim.Memory.cell 0).Sim.Memory.loc) in
+  let edges =
+    List.concat_map
+      (function
+        | FP.Stall { at; cycles; _ } -> [ at; at + cycles ]
+        | FP.Crash { at; _ } -> [ at ]
+        | FP.Hotspot { from_; until_; _ } | FP.Jitter { from_; until_; _ } ->
+            [ from_; until_ ])
+      plan.FP.events
+  in
+  let times =
+    List.concat_map (fun e -> [ e - 1; e; e + 1 ]) (q :: edges)
+    @ List.map (fun d -> q + d) [ 2; 3; 7; 50; 999; 5_000; 1_000_000 ]
+  in
+  List.for_all
+    (fun pid ->
+      let at_quiet = inj.on_event ~pid ~time:q in
+      List.for_all
+        (fun time ->
+          if time < q then
+            match inj.on_event ~pid ~time with
+            | Sim.Scheduler.Fault_defer until -> until <= q
+            | Fault_proceed | Fault_drop -> true
+          else
+            let verdict = inj.on_event ~pid ~time in
+            verdict = at_quiet
+            && (match verdict with Fault_defer _ -> false | _ -> true)
+            && List.for_all
+                 (fun loc -> inj.mem_latency ~loc ~pid ~now:time ~base:7 = 7)
+                 locs
+            && inj.delay_jitter ~pid ~now:time ~base:3 = 0)
+        times)
+    (List.init (procs + 1) Fun.id)
+
+let prop_quiet_contract =
+  QCheck.Test.make ~name:"hooks are constant from quiet_from" ~count:500
+    (QCheck.make
+       ~print:(fun (procs, plan) ->
+         Printf.sprintf "procs %d, quiet from %d, %s" procs (quiet_from plan)
+           (FP.describe plan))
+       gen_quiet_plan)
+    quiet_contract_holds
 
 (* ------------------------------------------------------------------ *)
 (* Conservation audit and termination checker units                    *)
@@ -317,6 +432,9 @@ let () =
           Alcotest.test_case "crashes leave a survivor" `Quick
             test_crashes_clamped;
           Alcotest.test_case "parse_pair" `Quick test_parse_pair;
+          Alcotest.test_case "quiet_from of each fault class" `Quick
+            test_quiet_from_values;
+          qcheck prop_quiet_contract;
         ] );
       ( "audits",
         [

@@ -774,8 +774,8 @@ let test_spin_slot_invariants () =
    [E.spin_until] and with [spin_loop], under the same memory model,
    fault plan, race detector and horizon; every observable must agree:
    the run's stats, the full-level trace, the race report and every
-   value a wait returned.  Processors that are unwound wait once more
-   while unwinding, as cleanup code may. *)
+   value a wait returned, and when.  Processors that are unwound wait
+   once more while unwinding, as cleanup code may. *)
 type spin_op =
   | Op_write of int * int  (* cell, value *)
   | Op_add of int * int
@@ -792,40 +792,45 @@ type spin_case = {
 
 let spin_cells = 3
 
-let gen_spin_case =
+let gen_spin_op =
   let open QCheck.Gen in
   let cell = int_bound (spin_cells - 1) in
-  let op =
-    frequency
-      [
-        (2, map2 (fun c v -> Op_write (c, v)) cell (int_bound 3));
-        (2, map2 (fun c d -> Op_add (c, d)) cell (int_range 1 2));
-        (1, map (fun d -> Op_delay d) (int_range 1 40));
-        (4, map2 (fun c k -> Op_wait (c, k)) cell (int_range 1 4));
-      ]
-  in
+  frequency
+    [
+      (2, map2 (fun c v -> Op_write (c, v)) cell (int_bound 3));
+      (2, map2 (fun c d -> Op_add (c, d)) cell (int_range 1 2));
+      (1, map (fun d -> Op_delay d) (int_range 1 40));
+      (4, map2 (fun c k -> Op_wait (c, k)) cell (int_range 1 4));
+    ]
+
+let gen_spin_case =
+  let open QCheck.Gen in
   let* procs = int_range 1 5 in
-  let* scripts = array_size (return procs) (list_size (int_range 0 6) op) in
+  let* scripts =
+    array_size (return procs) (list_size (int_range 0 6) gen_spin_op)
+  in
   let* config = int_bound 2 in
   let* plan = opt (int_bound 10_000) in
   let* detector = bool in
   let+ horizon = int_range 20 1_500 in
   { scripts; config; plan; detector; horizon }
 
-let show_spin_case c =
+let show_scripts scripts =
   let op = function
     | Op_write (c, v) -> Printf.sprintf "w%d=%d" c v
     | Op_add (c, d) -> Printf.sprintf "a%d+%d" c d
     | Op_delay d -> Printf.sprintf "d%d" d
     | Op_wait (c, k) -> Printf.sprintf "s%d>=%d" c k
   in
+  String.concat " | "
+    (Array.to_list
+       (Array.map (fun l -> String.concat " " (List.map op l)) scripts))
+
+let show_spin_case c =
   Printf.sprintf "config %d, plan %s, detector %b, horizon %d, scripts [%s]"
     c.config
     (match c.plan with Some s -> string_of_int s | None -> "none")
-    c.detector c.horizon
-    (String.concat " | "
-       (Array.to_list
-          (Array.map (fun l -> String.concat " " (List.map op l)) c.scripts)))
+    c.detector c.horizon (show_scripts c.scripts)
 
 let spin_plan ~seed ~procs ~horizon =
   let module F = Faults.Fault_plan in
@@ -838,25 +843,34 @@ let spin_plan ~seed ~procs ~horizon =
       F.jitter ~from_:0 ~until_:horizon ~amp:3;
     ]
 
-let run_spin_case ~wait c =
-  let procs = Array.length c.scripts in
-  let config =
-    match c.config with
-    | 0 -> M.default_config
-    | 1 -> M.serialized_reads_config
-    | _ -> M.uniform_config
-  in
+let config_of = function
+  | 0 -> M.default_config
+  | 1 -> M.serialized_reads_config
+  | _ -> M.uniform_config
+
+(* Run [scripts] with [wait] under [config], [plan]'s injector, the race
+   detector when [detector], and [horizon].  With [keep], the injector's
+   [quiet_from] is [max_int], so the run never leaves it.  Returns the
+   run's stats, its full-level trace, the race report and each
+   processor's waits' values and return times, with cell ids relative
+   to the run's first cell; and whether the run left its injector. *)
+let run_scripts ~wait ~config ~plan ?(keep = false) ~detector ~horizon
+    scripts =
+  let procs = Array.length scripts in
   let injector =
     Option.map
-      (fun seed ->
-        Faults.Fault_plan.injector
-          (spin_plan ~seed ~procs ~horizon:c.horizon))
-      c.plan
+      (fun plan ->
+        let inj = Faults.Fault_plan.injector plan in
+        if keep then { inj with Sim.Scheduler.quiet_from = max_int } else inj)
+      plan
   in
   (* Ids relative to this run's first cell, as the injector hashes them. *)
   let base = M.loc_count () in
   let cells = Array.init spin_cells (fun _ -> E.cell 0) in
-  let returned = Array.make procs [] in
+  let returned = Array.make procs [] and left = ref false in
+  let see_left () =
+    if Option.is_none (Sim.Scheduler.the_sched ()).injector then left := true
+  in
   let body p =
     let step = function
       | Op_write (i, v) -> E.set cells.(i) v
@@ -864,20 +878,20 @@ let run_spin_case ~wait c =
       | Op_delay d -> E.delay d
       | Op_wait (i, k) ->
           let v = wait cells.(i) (fun v -> v >= k) in
-          returned.(p) <- v :: returned.(p)
+          returned.(p) <- (v, E.now ()) :: returned.(p);
+          see_left ()
     in
-    try List.iter step c.scripts.(p)
+    try List.iter step scripts.(p)
     with Sim.Aborted as e ->
+      see_left ();
       (try ignore (wait cells.(p mod spin_cells) (fun _ -> false))
        with Sim.Aborted -> ());
       raise e
   in
-  let run () =
-    Sim.run ~config ?injector ~abort_after:c.horizon ~procs body
-  in
+  let run () = Sim.run ~config ?injector ~abort_after:horizon ~procs body in
   let (stats, report), events =
     traced (fun () ->
-        if c.detector then
+        if detector then
           let stats, r = Analysis.Race_detector.run run in
           let races =
             List.map
@@ -896,7 +910,18 @@ let run_spin_case ~wait c =
         | e -> e)
       events
   in
-  (stats, events, report, returned)
+  ((stats, events, report, returned), !left)
+
+let run_spin_case ~wait c =
+  let plan =
+    Option.map
+      (fun seed ->
+        spin_plan ~seed ~procs:(Array.length c.scripts) ~horizon:c.horizon)
+      c.plan
+  in
+  fst
+    (run_scripts ~wait ~config:(config_of c.config) ~plan
+       ~detector:c.detector ~horizon:c.horizon c.scripts)
 
 let prop_spin_model_equivalence =
   QCheck.Test.make ~name:"spin_until is the get/cpu_relax loop, event for event"
@@ -949,12 +974,7 @@ let show_untraced_case c =
 
 let run_untraced_case ~wait c =
   let procs = Array.length c.u_scripts in
-  let config =
-    match c.u_config with
-    | 0 -> M.default_config
-    | 1 -> M.serialized_reads_config
-    | _ -> M.uniform_config
-  in
+  let config = config_of c.u_config in
   let cells = Array.init spin_cells (fun _ -> E.cell 0) in
   let log = Array.make procs [] and unwound = ref [] in
   let body p =
@@ -1090,6 +1110,102 @@ let test_spin_abort_unwinds_waiters_in_order () =
       ("pause", M.default_config, (7 * 5) + 6, [ 0; 1; 2; 3; 0 ]);
       ("overflow tier", slow, 3_000, [ 0; 0; 1; 2; 3 ]);
     ]
+
+(* A run leaves its injector once the plan has gone quiet, and nothing
+   it reports changes: under the same injector with [quiet_from] set to
+   [max_int], which the run never leaves, the stats, the full-level
+   trace, the race report and every wait's value and return time are
+   the same.  Up to 12 processors run spin scripts under a plan whose
+   windows all end at [quiet] or before, well before the horizon; one
+   fault class, drawn at random, ends exactly there. *)
+type quiet_case = {
+  q_scripts : spin_op list array;
+  q_config : int;  (* default, serialized reads, uniform *)
+  q_detector : bool;
+  q_horizon : int;
+  q_plan : Faults.Fault_plan.t;
+}
+
+let gen_quiet_case =
+  let open QCheck.Gen in
+  let module F = Faults.Fault_plan in
+  let* procs = int_range 1 12 in
+  let* q_scripts =
+    array_size (return procs) (list_size (int_range 0 8) gen_spin_op)
+  in
+  let* q_config = int_bound 2 in
+  let* q_detector = bool in
+  let* quiet = int_range 50 600 in
+  let* q_horizon = int_range (quiet + 1) (quiet + 1_500) in
+  let pid = int_bound (procs - 1) and before = int_bound quiet in
+  let window = map2 (fun a b -> (min a b, max a b)) before before in
+  let* stalls = list_size (int_bound 2) (triple pid before (int_range 1 40)) in
+  let* crashes = list_size (int_bound 1) (pair pid before) in
+  let* hot = opt window in
+  let* jitter = opt window in
+  let* last = int_bound 3 in
+  let* victim = pid in
+  let+ seed = int_bound 10_000 in
+  let hotspot (from_, until_) =
+    F.Hotspot { from_; until_; factor = 3; num = 1; den = 2; salt = seed }
+  in
+  let jitter_in (from_, until_) = F.Jitter { from_; until_; amp = 3 } in
+  let events =
+    List.map
+      (fun (pid, at, cycles) ->
+        F.Stall { pid; at = min at (quiet - cycles); cycles })
+      stalls
+    @ List.map (fun (pid, at) -> F.Crash { pid; at }) crashes
+    @ Option.to_list (Option.map hotspot hot)
+    @ Option.to_list (Option.map jitter_in jitter)
+    @ [
+        (match last with
+        | 0 -> F.Stall { pid = victim; at = quiet - 20; cycles = 20 }
+        | 1 -> F.Crash { pid = victim; at = quiet }
+        | 2 -> hotspot (quiet / 2, quiet)
+        | _ -> jitter_in (quiet / 2, quiet));
+      ]
+  in
+  { q_scripts; q_config; q_detector; q_horizon; q_plan = { F.seed; events } }
+
+let show_quiet_case c =
+  Printf.sprintf "config %d, plan %s, detector %b, horizon %d, scripts [%s]"
+    c.q_config
+    (Faults.Fault_plan.describe c.q_plan)
+    c.q_detector c.q_horizon (show_scripts c.q_scripts)
+
+let run_quiet_case ~keep c =
+  run_scripts ~wait:E.spin_until ~config:(config_of c.q_config)
+    ~plan:(Some c.q_plan) ~keep ~detector:c.q_detector ~horizon:c.q_horizon
+    c.q_scripts
+
+let quiet_runs = ref 0
+let quiet_left = ref 0
+
+let prop_quiet_injector =
+  QCheck.Test.make ~name:"a quiet injector is the one that never goes quiet"
+    ~count:1000
+    (QCheck.make ~print:show_quiet_case gen_quiet_case)
+    (fun c ->
+      let leaving, left = run_quiet_case ~keep:false c in
+      let kept, left_kept = run_quiet_case ~keep:true c in
+      incr quiet_runs;
+      if left then incr quiet_left;
+      (not left_kept) && leaving = kept)
+
+(* The property, and the share of its runs that leave the injector:
+   the others end before their plan goes quiet or strand a processor
+   whose crash is still to come. *)
+let test_quiet_injector =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_quiet_injector in
+  Alcotest.test_case name speed (fun () ->
+      quiet_runs := 0;
+      quiet_left := 0;
+      run ();
+      Printf.printf "%d of %d runs left their injector\n" !quiet_left
+        !quiet_runs;
+      check_bool "most runs leave their injector" true
+        (2 * !quiet_left > !quiet_runs))
 
 (* The model checker explores the same interleavings either way: a
    hand-off two processors complete for a third, and a wait nobody
@@ -1342,6 +1458,7 @@ let () =
             test_spin_hooks_switched_mid_run;
           Alcotest.test_case "abort unwinds waiters in order" `Quick
             test_spin_abort_unwinds_waiters_in_order;
+          test_quiet_injector;
           Alcotest.test_case "explorer equivalence" `Quick
             test_spin_explore_equivalence;
         ] );

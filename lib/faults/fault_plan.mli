@@ -96,5 +96,5 @@ val injector : t -> Sim.Scheduler.injector
     plan's last window, the latest of every stall's [at + cycles], every
     crash's [at], every hot spot's [until_] and every jitter's [until_]
     when its [amp > 0]; it is 0 for an empty plan.  From that cycle on
-    no hook depends on time, and a run leaves the injector once every
-    planned crash has fired. *)
+    no hook depends on time, and a run leaves the injector once no
+    processor with a pending event has a crash still to come. *)

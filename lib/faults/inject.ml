@@ -1,6 +1,7 @@
 (* Running simulations under a fault plan: compile the plan once and
    hand it to the scheduler as its injector.  The run leaves the
-   injector once the plan has gone quiet, at once for an empty plan. *)
+   injector once the plan has gone quiet; an empty plan is quiet from
+   cycle 0. *)
 
 let run ?seed ?config ?abort_after ~plan ~procs body =
   let injector = Fault_plan.injector plan in

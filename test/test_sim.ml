@@ -1193,9 +1193,8 @@ let prop_quiet_injector =
       if left then incr quiet_left;
       (not left_kept) && leaving = kept)
 
-(* The property, and the share of its runs that leave the injector:
-   the others end before their plan goes quiet or strand a processor
-   whose crash is still to come. *)
+(* The property, and the share of its runs that leave the injector; a
+   run that ends before its plan has gone quiet never does. *)
 let test_quiet_injector =
   let name, speed, run = QCheck_alcotest.to_alcotest prop_quiet_injector in
   Alcotest.test_case name speed (fun () ->

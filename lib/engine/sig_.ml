@@ -103,7 +103,9 @@ module type S = sig
       the same read and [cpu_relax] per iteration but runs the loop in
       its scheduler, resuming the processor only once a read satisfies
       [until].  So [until] must be a pure host function of the value:
-      it may not perform engine operations or touch shared state. *)
+      it may not perform engine operations or touch shared state.  Nor
+      may it count its calls: the simulator also calls it to find waits
+      no processor can end, and then skips their reads ([Sim.run]). *)
 
   val random_int : int -> int
   (** [random_int n] draws uniformly from [0, n) using the calling

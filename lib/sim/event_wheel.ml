@@ -45,6 +45,14 @@
    comes out, so each member unwinds under the key it would have had
    as an entry of its own.
 
+   The scheduler's dead-spin fast-forward moves the whole queue some
+   number of cycles later ([shift]).  Buckets are indexed by time, so
+   the bucket arrays rotate by that many cycles modulo the window,
+   three reversals in place; each bucket keeps its FIFO, the links do
+   not change, and the order is the order before.  An overflow entry
+   would have to move in the heap as well, so [shift] refuses while
+   the overflow tier holds one.
+
    A run's buckets are reused, not reallocated: one spare pair is kept
    per process, taken by [create] and handed back by [release].  The
    model checker starts a fresh one-processor run per explored
@@ -174,6 +182,34 @@ let drop_head t =
   let b = t.cursor land mask in
   t.heads.(b) <- t.next.(t.heads.(b));
   t.n <- t.n - 1
+
+let spills t = not (Event_heap.is_empty t.overflow)
+
+(* Swap buckets [i .. j] end for end. *)
+let rec reverse t i j =
+  if i < j then begin
+    let h = t.heads.(i) and l = t.tails.(i) in
+    t.heads.(i) <- t.heads.(j);
+    t.tails.(i) <- t.tails.(j);
+    t.heads.(j) <- h;
+    t.tails.(j) <- l;
+    reverse t (i + 1) (j - 1)
+  end
+
+(* Every entry is in a bucket, and the window moves with the cursor: an
+   entry due at [time] must move from bucket [time land mask] to bucket
+   [(time + by) land mask], so the buckets rotate by [by land mask],
+   each keeping its FIFO. *)
+let shift t ~by =
+  if t.draining || spills t then
+    invalid_arg "Event_wheel.shift: the overflow tier holds an entry";
+  let d = by land mask in
+  if d > 0 then begin
+    reverse t 0 mask;
+    reverse t 0 (d - 1);
+    reverse t d mask
+  end;
+  t.cursor <- t.cursor + by
 
 (* Push [p] and the members [next] chains to it, due at [time], onto
    the overflow heap under [key] and the keys after it; return the key

@@ -55,6 +55,17 @@ val head : t -> int
 val drop_head : t -> unit
 (** Remove the entry {!head} returned; there must be one. *)
 
+val spills : t -> bool
+(** Whether the overflow tier holds an entry, one due 1,024 or more
+    cycles past the {!cursor} when it was queued. *)
+
+val shift : t -> by:int -> unit
+(** [shift t ~by] moves every entry, and the {!cursor}, [by] cycles
+    later, keeping their order and their chains.  It costs one pass
+    over the buckets whatever [by] is.  Raises [Invalid_argument] if
+    the overflow tier holds an entry ({!spills}) or {!drain} has
+    begun. *)
+
 val drain : t -> next:(int -> int) -> (int -> unit) -> unit
 (** [drain t ~next f] removes every entry in key order, applying [f] to
     its pid.  An entry may stand for a chain of pids due together under

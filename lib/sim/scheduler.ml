@@ -108,6 +108,68 @@
    - Entries queued before leaving keep their keys.  They are
      single-member entries, and they fire in key order.
 
+   Dead spins.  A run in [group_loop] is dead when every live processor
+   is parked in a [Spin] whose predicate fails on its cell's current
+   value.  Predicates are pure functions of the value (the [Engine.S]
+   contract), and a failed spin step runs no processor code and writes
+   nothing, so no predicate can start to hold: no processor code runs
+   again before the horizon.  Each of the [n] waiters fires one read and
+   one pause every [P = read_latency + 1] cycles, and the queue repeats
+   every period.  Write [L] for [read_latency]:
+   - Take the dead state at a bucket boundary [T]: every event due
+     before [T] has fired and none due later.  A pending read was
+     issued before [T] and is due at [T] or later, so it is due in
+     [T, T+L-1]; a pending pause is due at [T].
+   - Within a bucket, FIFO order is queueing order.  Every read is
+     queued [L] cycles before it is due, by the pause before it, and
+     every pause 1 cycle before, by the read before it; the same in
+     every period.
+   - So over [T, T+P-1] each waiter fires its pending step and the one
+     after, and its step [P] later is queued in place of the pending
+     one: a read due at [r] by the pause at [r+1], a pause due at [T]
+     by the read at [T+L].  Two entries due together are replaced by
+     two due together.  If they are of one kind, their successors'
+     queuers are queued in the order the two fired, and so fire and
+     queue in that order.  If one is a read and one a pause, both due
+     at [T], the read was queued first (at [T-L] against [T-1]), and so
+     is its successor (at [T+1] against [T+L]); with [L = 1] both pairs
+     are queued in firing order.  The queue at [T+P] is therefore the
+     queue at [T] with every key [P] later, in the same order, and by
+     induction the same holds [k] periods on.  Whether neighbouring
+     steps share a group entry changes nothing that fires (the
+     spin-group argument above).
+   [fast_forward] therefore moves every entry [k·P] later by rotating
+   the wheel's buckets ([Event_wheel.shift]), keeping their order and
+   chains, and adds what the skipped periods count: [2·k·n] events,
+   [k·n] reads and [2·k·n] seqs.  It keeps the last whole period before
+   the horizon and what follows it to step, so [end_clock] and the
+   unwinding order come from the loop itself.  Every waiter fires a
+   read in that period, so the per-pid [issued], [begins] and [finish]
+   entries a hooked read writes are rewritten as the loop leaves them.
+   Hooks see what they saw.  With full-level tracing on, the run steps.
+   With a [Memory.tracer] installed, one period is stepped through a
+   recorder that forwards the tracer's reads and keeps their arguments,
+   and the skipped periods replay them in the same order with their
+   times moved by whole periods: exact, because the period is.  For the
+   race detector the replayed reads can only be counted, as the stepped
+   ones were: values and shadows are frozen, no serialized window is
+   open, and a raw write is reported once per location.  The check is
+   cheap.  The loop's state counts the live processors parked in a
+   [Spin]: [issue] adds one when a processor starts a wait, and
+   [fire_reads] takes one off when a wait ends.  Every live processor
+   can come to wait only when one starts a wait or stops, so only
+   those arm the check, and only when the count then equals [t.live];
+   any other step pays one test of the flag.  At the next bucket
+   boundary, if the count still equals [t.live], the check evaluates
+   each waiter's predicate once; it checks again only once re-armed.
+   Two cases step on: an entry in the wheel's overflow tier
+   (a read latency of 1,024 cycles or more), which the rotation cannot
+   move, and a horizon fewer than two whole periods away (three with a
+   tracer).  A dead run with no horizon would spin forever, so it
+   fails instead, naming the cycle.  The one-event loop (one
+   processor, serialized reads, or a run that keeps its injector)
+   does not check.
+
    An operation's side effect executes when its event fires ([commit]),
    not when it is issued: operations therefore linearize in
    completion-time order, and per-location serialization (see {!Memory})
@@ -235,6 +297,28 @@ let the_sched () =
       failwith
         "Sim: a simulated-engine operation was performed outside Sim.run"
 
+(* The state of the spin-group loop ([group_loop]): its groups' links,
+   and what its dead-spin check needs (see the header), how many live
+   processors wait in a [Spin], and whether they all came to since the
+   last check.  [issue] and the handler keep those two through
+   [spin_groups], the running loop's state, so a step that starts no
+   wait and ends no processor pays nothing for them. *)
+type groups = {
+  member : int array;  (* per pid: the member after it, or -1 *)
+  last : int array;  (* per leader of two or more: its last member *)
+  size : int array;  (* per leader of two or more: its member count *)
+  mutable waiting : int;  (* live processors parked in a Spin *)
+  mutable armed : bool;  (* all of them, since a wait began or a stop *)
+}
+
+let no_groups =
+  { member = [||]; last = [||]; size = [||]; waiting = 0; armed = false }
+
+(* The running spin-group loop's state, [no_groups] in any other run.
+   Each run sets it for its own duration and gives the enclosing run's
+   back, as for [active]. *)
+let spin_groups = ref no_groups
+
 let loc_of : type a. a Effect.t -> Memory.loc = function
   | Get c -> c.Memory.loc
   | Set (c, _) -> c.Memory.loc
@@ -348,7 +432,11 @@ let issue (type a) t p (k : (a, unit) continuation) (eff : a Effect.t) =
   let time =
     match eff with
     | Delay n -> delay_due t p n
-    | Spin s -> read_due t p s.cell
+    | Spin s ->
+        let g = !spin_groups in
+        g.waiting <- g.waiting + 1;
+        if g.waiting = t.live then g.armed <- true;
+        read_due t p s.cell
     | Get c -> read_due t p c
     | Set (c, _) ->
         access_due t p c.Memory.loc ~base:cfg.write_latency ~serialized:true
@@ -457,11 +545,18 @@ let commit (type a) t p (k : (a, unit) continuation) (eff : a Effect.t) =
       continue k old
   | _ -> invalid_arg "Sim: not a scheduler effect"
 
+(* A processor of [t] has stopped: if every live one now waits, arm
+   the dead-spin check. *)
+let stopped t =
+  let g = !spin_groups in
+  if g.waiting = t.live then g.armed <- true
+
 let handler t p =
   {
     retc =
       (fun () ->
         t.live <- t.live - 1;
+        stopped t;
         if Etrace.on Etrace.lv_ops then
           Etrace.emit
             (Etrace.Event.Proc_end
@@ -469,6 +564,7 @@ let handler t p =
     exnc =
       (fun e ->
         t.live <- t.live - 1;
+        stopped t;
         match e with
         | Aborted ->
             t.aborted <- t.aborted + 1;
@@ -530,17 +626,24 @@ let fire_at t time p =
    under consecutive seqs.  The leader's [pausing] flag is the group's
    phase; every other member's flag stays set, as its last failed read
    left it. *)
-type groups = {
-  member : int array;  (* per pid: the member after it, or -1 *)
-  last : int array;  (* per leader of two or more: its last member *)
-  size : int array;  (* per leader of two or more: its member count *)
-}
 
-let groups procs =
+(* How many processors, [p] and after, wait in a [Spin] when the loop
+   starts: a run that leaves its injector may already have some. *)
+let rec count_waiting t p n =
+  if p >= t.nprocs then n
+  else
+    match t.slots.(p) with
+    | Parked (_, Spin _) -> count_waiting t (p + 1) (n + 1)
+    | _ -> count_waiting t (p + 1) n
+
+let groups t =
+  let procs = t.nprocs in
   {
     member = Array.make procs (-1);
     last = Array.make procs 0;
     size = Array.make procs 0;
+    waiting = count_waiting t 0 0;
+    armed = true;
   }
 
 let group_size g p = if g.member.(p) < 0 then 1 else g.size.(p)
@@ -645,6 +748,7 @@ let rec fire_reads (t : t) g m first last k =
           queue_pauses t g first last k;
           g.member.(m) <- -1;
           t.slots.(m) <- Idle;
+          g.waiting <- g.waiting - 1;
           continue kont v;
           fire_reads t g next (-1) (-1) 0
         end
@@ -688,10 +792,130 @@ let unwind_groups t g =
       m)
     (fun p -> abort t p)
 
+(* Dead spins (see the header).  Does the predicate of every waiter,
+   [p] and after, fail on its cell's current value? *)
+let rec stuck t p =
+  p >= t.nprocs
+  || (match t.slots.(p) with
+     | Parked (_, Spin s) -> not (s.until s.cell.Memory.v)
+     | Idle -> true
+     | Start | Parked _ -> false)
+     && stuck t (p + 1)
+
+(* Events the fast-forwards of this process skipped, for tests and
+   probes.  Updated once per fast-forward. *)
+let skipped = ref 0
+let skipped_events () = !skipped
+
+(* Skip [k] periods of a dead run: every entry moves [k * period]
+   cycles later, in order, and each of the [t.live] waiters is counted
+   the read and the pause it fires per period, each queued under a
+   fresh seq. *)
+let skip t ~period k =
+  let reads = k * t.live in
+  Event_wheel.shift t.queue ~by:(k * period);
+  t.events_fired <- t.events_fired + (2 * reads);
+  t.op_reads <- t.op_reads + reads;
+  t.seq <- t.seq + (2 * reads);
+  skipped := !skipped + (2 * reads)
+
+(* Fire every event due by [until]. *)
+let rec step_to t g ~until =
+  let p = Event_wheel.pop_due t.queue ~horizon:until in
+  if p >= 0 then begin
+    fire_grouped t g (Event_wheel.cursor t.queue) p;
+    step_to t g ~until
+  end
+
+(* Make [tr]'s recorded reads [calls] again, [d] cycles later. *)
+let rec replay (tr : Memory.tracer) calls d =
+  match calls with
+  | [] -> ()
+  | (loc, pid, issued, fired, serialized, clean) :: calls ->
+      tr.on_read loc ~pid ~issued:(issued + d) ~fired:(fired + d) ~serialized
+        ~clean;
+      replay tr calls d
+
+let rec replay_periods tr calls ~period j k =
+  if j <= k then begin
+    replay tr calls (j * period);
+    replay_periods tr calls ~period (j + 1) k
+  end
+
+(* Step to [until] through a recorder that forwards [tr]'s reads and
+   keeps their arguments; return them in call order, or [] if a hook
+   changed meanwhile. *)
+let record t g (tr : Memory.tracer) ~until =
+  let hooked = !Memory.tracer and calls = ref [] in
+  let recorder =
+    Some
+      {
+        tr with
+        on_read =
+          (fun loc ~pid ~issued ~fired ~serialized ~clean ->
+            calls := (loc, pid, issued, fired, serialized, clean) :: !calls;
+            tr.on_read loc ~pid ~issued ~fired ~serialized ~clean);
+      }
+  in
+  Memory.tracer := recorder;
+  (match step_to t g ~until with
+  | () -> ()
+  | exception e ->
+      if !Memory.tracer == recorder then Memory.tracer := hooked;
+      raise e);
+  if !Memory.tracer == recorder then begin
+    Memory.tracer := hooked;
+    List.rev !calls
+  end
+  else []
+
+(* A dead run, at the boundary after the cursor's bucket, skips all but
+   its last whole period before the horizon.  With a tracer installed,
+   it first steps one period through [record], then replays that
+   period's reads once per skipped period.  If that period is not what
+   the argument says (a hook changed, or a processor ran), the run
+   keeps stepping. *)
+let fast_forward t g ~horizon =
+  let period = t.config.read_latency + 1 in
+  let from = Event_wheel.cursor t.queue + 1 in
+  let whole = (horizon - from + 1) / period in
+  match !Memory.tracer with
+  | None -> if whole >= 2 then skip t ~period (whole - 1)
+  | Some tr ->
+      if whole >= 3 then begin
+        let calls = record t g tr ~until:(from + period - 1) in
+        if
+          (not g.armed)
+          && g.waiting = t.live
+          && (not (Etrace.on Etrace.lv_full))
+          && List.length calls = t.live
+        then begin
+          replay_periods tr calls ~period 1 (whole - 2);
+          skip t ~period (whole - 2)
+        end
+      end
+
+let dead_forever t =
+  failwith
+    (Printf.sprintf
+       "Sim.run: from cycle %d, all %d live processors wait on predicates \
+        no processor can satisfy, and no abort_after is set"
+       t.clock t.live)
+
+(* Every live processor has come to wait, and the cursor's bucket is
+   done: is the run dead? *)
+let dead_check t g ~horizon =
+  g.armed <- false;
+  if g.waiting = t.live && t.live > 0 && stuck t 0 then
+    if horizon = max_int then dead_forever t
+    else if not (Etrace.on Etrace.lv_full || Event_wheel.spills t.queue) then
+      fast_forward t g ~horizon
+
 let rec group_loop t g ~horizon =
   let p = Event_wheel.pop_due t.queue ~horizon in
   if p >= 0 then begin
     fire_grouped t g (Event_wheel.cursor t.queue) p;
+    if g.armed && Event_wheel.head t.queue < 0 then dead_check t g ~horizon;
     group_loop t g ~horizon
   end
   else if not (Event_wheel.is_empty t.queue) then unwind_groups t g
@@ -920,20 +1144,31 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
       (* The earliest event is past the horizon. *)
       Event_wheel.drain q ~next:Event_wheel.no_members (fun p -> abort t p)
   in
-  (match controller with
-  | Some c -> ctl_loop c
-  | None -> (
-      (match t.injector with
-      | Some inj ->
-          inject_loop t inj ~horizon ~gate:inj.quiet_from ~quiet:false
-      | None -> ());
-      (* With no injector, or once the run has left it. *)
-      match t.injector with
-      | Some _ -> ()
-      | None ->
-          if t.nprocs > 1 && not t.config.reads_serialize then
-            group_loop t (groups t.nprocs) ~horizon
-          else loop ()));
+  let enclosing = !spin_groups in
+  spin_groups := no_groups;
+  (match
+     match controller with
+     | Some c -> ctl_loop c
+     | None -> (
+         (match t.injector with
+         | Some inj ->
+             inject_loop t inj ~horizon ~gate:inj.quiet_from ~quiet:false
+         | None -> ());
+         (* With no injector, or once the run has left it. *)
+         match t.injector with
+         | Some _ -> ()
+         | None ->
+             if t.nprocs > 1 && not t.config.reads_serialize then begin
+               let g = groups t in
+               spin_groups := g;
+               group_loop t g ~horizon
+             end
+             else loop ())
+   with
+  | () -> spin_groups := enclosing
+  | exception e ->
+      spin_groups := enclosing;
+      raise e);
   assert (t.live = 0);
   grand :=
     {

@@ -32,7 +32,11 @@
     phase under consecutive seqs are one queue entry, a spin group, and
     fire back to back; the events, seqs, counters and hook calls are
     still those of the one-event loop (the argument is in
-    scheduler.ml).
+    scheduler.ml).  Once every live processor of such a run waits on a
+    predicate that fails on its cell's current value, no wait can end:
+    the run fast-forwards whole spin periods towards the horizon,
+    counting and reporting them as if it had stepped them (see
+    {!run}).
 
     This module is the simulator's engine room; user code should go
     through [Sim.run] and [Sim.Engine]. *)
@@ -223,6 +227,12 @@ type totals = { t_events : int; t_reads : int; t_writes : int; t_rmws : int }
 
 val totals : unit -> totals
 
+val skipped_events : unit -> int
+(** The events that dead-spin fast-forwards skipped, summed over this
+    process's runs: counted in each run's [events_fired], never
+    stepped.  Tests and probes read it around a run to see whether the
+    run fast-forwarded (see {!run}). *)
+
 val run :
   ?seed:int ->
   ?config:Memory.config ->
@@ -234,4 +244,20 @@ val run :
   stats
 (** See [Sim.run].  [controller] and [injector] are mutually
     exclusive, and a [controller] accepts at most 62 processors;
-    either misuse raises [Invalid_argument]. *)
+    either misuse raises [Invalid_argument].
+
+    Dead spins.  In a run of two processors or more with no controller
+    and non-serialized reads, from the start with no injector or once
+    the run has left it, the scheduler checks, once a processor has
+    started a wait or finished, whether every live processor waits in
+    a [Spin] whose predicate fails on its cell's current value.  Then
+    no processor can run again.  With an [abort_after], the run skips
+    all but the last whole spin period before it: [events_fired] and
+    [reads] count the skipped steps, an installed {!Memory.tracer} gets
+    every skipped read's [on_read] with the arguments and in the order
+    stepping gives, and the last period and the unwinding are stepped.
+    It keeps stepping with full-level tracing on, or when a read's
+    latency is 1,024 cycles or more.  With no [abort_after] the run
+    raises [Failure], naming the cycle from which no wait could end.
+    One-processor runs, serialized-read runs and runs that keep their
+    injector make no check, and spin forever in that state. *)

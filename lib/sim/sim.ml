@@ -65,4 +65,14 @@ let run = Scheduler.run
     one is installed (see [Faults.Fault_plan]).  If [abort_after] is
     given, processors still running past that cycle are unwound with
     {!Aborted} (their effects already applied to shared memory remain
-    applied; in-flight operations are dropped). *)
+    applied; in-flight operations are dropped).
+
+    Once every live processor waits in [Engine.spin_until] on a
+    predicate that fails on its cell's current value, no wait can end.
+    A run of two processors or more with non-serialized reads and no
+    injector left detects this.  With [abort_after] it skips ahead to
+    the horizon and reports what stepping would have (the stats, the
+    race detector's reads, the unwinding order).  Without it, [run]
+    raises [Failure] naming the cycle.  One-processor runs,
+    serialized-read runs and runs that keep an injector to the end
+    still spin forever in that state (Scheduler.run). *)

@@ -309,6 +309,35 @@ let test_drain_chains () =
   check_bool "empty" true (W.is_empty w);
   W.release w
 
+(* [shift] moves every entry and the cursor by any number of cycles,
+   each bucket keeping its FIFO: 1,000,003 cycles is 579 past a whole
+   number of windows, so the buckets wrap round the array's end.  An
+   entry in the overflow tier forbids a shift. *)
+let test_shift () =
+  let w = W.create ~procs:5 in
+  W.push w ~time:1_000 ~seq:0 0;
+  check_take "the cursor at 1,000" w (1_000, 0);
+  W.push w ~time:1_020 ~seq:1 1;
+  W.push w ~time:1_030 ~seq:2 2;
+  W.push w ~time:1_020 ~seq:3 3;
+  W.push w ~time:1_500 ~seq:4 4;
+  let by = 1_000_003 in
+  W.shift w ~by;
+  check_int "the cursor moved" (1_000 + by) (W.cursor w);
+  check_int "nothing due before the first entry" (-1)
+    (W.pop_due w ~horizon:(1_019 + by));
+  check_take "first in its bucket" w (1_020 + by, 1);
+  check_take "second in its bucket" w (1_020 + by, 3);
+  check_take "the next bucket" w (1_030 + by, 2);
+  check_take "the last" w (1_500 + by, 4);
+  check_bool "empty" true (W.is_empty w);
+  W.push w ~time:(W.cursor w + 2_000) ~seq:5 0;
+  check_bool "the overflow tier holds it" true (W.spills w);
+  Alcotest.check_raises "no shift past an overflow entry"
+    (Invalid_argument "Event_wheel.shift: the overflow tier holds an entry")
+    (fun () -> W.shift w ~by:7);
+  W.release w
+
 let () =
   Alcotest.run "event_wheel"
     [
@@ -332,5 +361,7 @@ let () =
           Alcotest.test_case "head of the cursor's bucket" `Quick test_head;
           Alcotest.test_case "chains drain member by member" `Quick
             test_drain_chains;
+          Alcotest.test_case "shift keeps every bucket's order" `Quick
+            test_shift;
         ] );
     ]

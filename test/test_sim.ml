@@ -1080,8 +1080,11 @@ let test_spin_hooks_switched_mid_run () =
    The first to unwind pauses once more.  That pause is due before the
    others when the horizon falls in the read phase, so it unwinds
    second; it is due with them when the horizon falls in the pause,
-   and its fresh seq puts it last.  With a 1,500-cycle read latency
-   the waiting reads sit in the overflow tier when the horizon comes. *)
+   and its fresh seq puts it last.  The waiters are dead from cycle 0,
+   so a horizon a few periods on, or thousands, is reached by a
+   fast-forward, and the last periods are stepped.  With a 1,500-cycle
+   read latency the waiting reads sit in the overflow tier when the
+   horizon comes, and the run steps to it. *)
 let test_spin_abort_unwinds_waiters_in_order () =
   let unwinding ~wait ~config ~horizon =
     let flag = E.cell false and unwound = ref [] and first = ref true in
@@ -1100,16 +1103,127 @@ let test_spin_abort_unwinds_waiters_in_order () =
   in
   let slow = { M.default_config with read_latency = 1_500 } in
   List.iter
-    (fun (name, config, horizon, expected) ->
+    (fun (name, config, horizon, expected, skips) ->
+      let before = Sim.Scheduler.skipped_events () in
       let stats, order = unwinding ~wait:E.spin_until ~config ~horizon in
+      check_bool (name ^ ": fast-forwarded") skips
+        (Sim.Scheduler.skipped_events () > before);
       Alcotest.(check (list int)) (name ^ ": unwound in order") expected order;
       check_bool (name ^ ": as the hand-written loop") true
         ((stats, order) = unwinding ~wait:spin_loop ~config ~horizon))
     [
-      ("read phase", M.default_config, (7 * 5) + 3, [ 0; 0; 1; 2; 3 ]);
-      ("pause", M.default_config, (7 * 5) + 6, [ 0; 1; 2; 3; 0 ]);
-      ("overflow tier", slow, 3_000, [ 0; 0; 1; 2; 3 ]);
+      ("read phase", M.default_config, (7 * 5) + 3, [ 0; 0; 1; 2; 3 ], true);
+      ("pause", M.default_config, (7 * 5) + 6, [ 0; 1; 2; 3; 0 ], true);
+      ( "read phase, far",
+        M.default_config,
+        (7 * 2_000) + 3,
+        [ 0; 0; 1; 2; 3 ],
+        true );
+      ( "pause, far",
+        M.default_config,
+        (7 * 2_000) + 6,
+        [ 0; 1; 2; 3; 0 ],
+        true );
+      ("overflow tier", slow, 3_000, [ 0; 0; 1; 2; 3 ], false);
     ]
+
+(* A fast-forwarded run is the stepped loop.  Once every live processor
+   waits on a predicate that fails on its cell's current value, a
+   hook-free run skips whole spin periods up to the horizon.  With
+   [spin_loop] every read resumes its processor, so that run never
+   fast-forwards and steps every read.  Up to 24 processors run spin
+   scripts under the default or the uniform config, with horizons long
+   enough that most runs end with their survivors stuck.  Each case
+   runs with no hook, under the race detector and under a tracer that
+   logs every read; the stats, every operation's value and return time,
+   the unwinding order, the race report and the tracer's log must
+   agree. *)
+let gen_dead_case =
+  let open QCheck.Gen in
+  let* c = gen_untraced_case in
+  let* u_config = oneofl [ 0; 2 ] in
+  let+ u_horizon = int_range 2_000 10_000 in
+  { c with u_config; u_horizon }
+
+(* [run_untraced_case] under [hook]: `Detector, or `Tracer, which logs
+   each read's cell, pid, issue and fire times and shadow verdict.  Cell
+   ids are relative to the run's first cell. *)
+let run_hooked_case ~wait ~hook c =
+  let base = M.loc_count () in
+  let reads = ref [] in
+  let tracer =
+    {
+      M.on_read =
+        (fun loc ~pid ~issued ~fired ~serialized:_ ~clean ->
+          reads := (loc.M.id - base, pid, issued, fired, clean) :: !reads);
+      on_issue = (fun _ ~pid:_ ~now:_ ~begins:_ ~finish:_ -> ());
+      on_commit = (fun _ ~pid:_ ~time:_ ~clean:_ -> ());
+    }
+  in
+  match hook with
+  | `None -> (run_untraced_case ~wait c, None, [])
+  | `Detector ->
+      let r, report =
+        Analysis.Race_detector.run (fun () -> run_untraced_case ~wait c)
+      in
+      let races =
+        List.map
+          (fun (x : Analysis.Race_detector.race) ->
+            { x with loc_id = x.loc_id - base; detail = "" })
+          report.races
+      in
+      (r, Some { report with races }, [])
+  | `Tracer ->
+      let saved = !M.tracer in
+      M.tracer := Some tracer;
+      let r =
+        Fun.protect
+          ~finally:(fun () -> M.tracer := saved)
+          (fun () -> run_untraced_case ~wait c)
+      in
+      (r, None, List.rev !reads)
+
+let dead_runs = ref 0
+let dead_skipped = ref 0
+
+let prop_dead_fast_forward =
+  QCheck.Test.make ~name:"a fast-forwarded run is the stepped loop" ~count:200
+    (QCheck.make ~print:show_untraced_case gen_dead_case)
+    (fun c ->
+      incr dead_runs;
+      List.for_all
+        (fun hook ->
+          let before = Sim.Scheduler.skipped_events () in
+          let skipping = run_hooked_case ~wait:E.spin_until ~hook c in
+          let after = Sim.Scheduler.skipped_events () in
+          if after > before && hook = `None then incr dead_skipped;
+          let stepping = run_hooked_case ~wait:spin_loop ~hook c in
+          Sim.Scheduler.skipped_events () = after && skipping = stepping)
+        [ `None; `Detector; `Tracer ])
+
+(* The property, and the share of its runs that fast-forward. *)
+let test_dead_fast_forward =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_dead_fast_forward in
+  Alcotest.test_case name speed (fun () ->
+      dead_runs := 0;
+      dead_skipped := 0;
+      run ();
+      Printf.printf "%d of %d runs fast-forwarded\n" !dead_skipped !dead_runs;
+      check_bool "most runs fast-forward" true (2 * !dead_skipped > !dead_runs))
+
+(* A run with no horizon whose processors all wait on a flag nobody
+   sets would spin forever; the spin-group loop fails instead, naming
+   the cycle from which no wait can end. *)
+let test_dead_without_horizon () =
+  let flag = E.cell false in
+  match Sim.run ~procs:2 (fun _ -> ignore (E.spin_until flag Fun.id)) with
+  | _ -> Alcotest.fail "a dead run with no horizon returned"
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "the cause and the cycle"
+        "Sim.run: from cycle 0, all 2 live processors wait on predicates no \
+         processor can satisfy, and no abort_after is set"
+        msg
 
 (* A run leaves its injector once the plan has gone quiet, and nothing
    it reports changes: under the same injector with [quiet_from] set to
@@ -1457,6 +1571,9 @@ let () =
             test_spin_hooks_switched_mid_run;
           Alcotest.test_case "abort unwinds waiters in order" `Quick
             test_spin_abort_unwinds_waiters_in_order;
+          test_dead_fast_forward;
+          Alcotest.test_case "a dead run with no horizon fails" `Quick
+            test_dead_without_horizon;
           test_quiet_injector;
           Alcotest.test_case "explorer equivalence" `Quick
             test_spin_explore_equivalence;

@@ -32,6 +32,10 @@ let need_procs cmd procs =
 let need_horizon cmd horizon =
   if horizon < 1 then reject cmd "--horizon must be positive, got %d" horizon
 
+let need_workload cmd workload =
+  if workload < 0 then
+    reject cmd "--workload must not be negative, got %d" workload
+
 (* Common options *)
 let procs_t =
   Arg.(value & opt int 64 & info [ "p"; "procs" ] ~doc:"Simulated processors.")
@@ -131,6 +135,7 @@ let pc_cmd =
       max_pct adapt_seed =
     need_procs "pc" procs;
     need_horizon "pc" horizon;
+    need_workload "pc" workload;
     let make =
       if not adapt then make
       else
@@ -439,6 +444,14 @@ let service_cmd =
       reject "service" "--shards must be positive, got %d" shards;
     if not (Netverify.Ir.is_power_of_two width) then
       reject "service" "--width must be a power of two, got %d" width;
+    if sessions < 1 then
+      reject "service" "--sessions must be positive, got %d" sessions;
+    if mean_gap < 1 then
+      reject "service" "--mean-gap must be positive, got %d" mean_gap;
+    Option.iter
+      (fun n ->
+        if n < 0 then reject "service" "--steal must not be negative, got %d" n)
+      steal;
     let regime =
       match W.Arrivals.of_name arrival ~mean_gap with
       | Some r -> r
@@ -522,6 +535,7 @@ let trace_cmd =
   let run procs seed horizon workload make out level check =
     need_procs "trace" procs;
     need_horizon "trace" horizon;
+    need_workload "trace" workload;
     let chrome_level = match out with Some _ -> Some level | None -> None in
     let tr =
       W.Traced.run ?chrome_level ~procs (fun () ->
@@ -658,6 +672,12 @@ let check_cmd =
       reject "check" "--procs must be between 1 and 62, got %d" procs;
     if not (Netverify.Ir.is_power_of_two width) then
       reject "check" "--width must be a power of two, got %d" width;
+    if ops < 1 then reject "check" "--ops must be positive, got %d" ops;
+    if max_steps < 1 then
+      reject "check" "--max-steps must be positive, got %d" max_steps;
+    if max_interleavings < 1 then
+      reject "check" "--max-interleavings must be positive, got %d"
+        max_interleavings;
     let program = scenario.Check.Scenario.make ~procs ~width ~ops in
     let traced_replay sched =
       match trace_out with
@@ -778,17 +798,19 @@ let check_cmd =
                 Printf.eprintf "check: expected violation of %s not found\n" p;
                 exit 1
             | None ->
-                if first.Ex.capped then begin
+                if first.Ex.capped then
                   Printf.printf
                     "inconclusive: interleaving budget exhausted before the \
                      space was covered\n";
-                  exit 3
-                end
-                else begin
+                if first.Ex.budget_hits > 0 then
                   Printf.printf
-                    "verified: no violation in the full interleaving space\n";
-                  exit 0
-                end))
+                    "inconclusive: %d of %d executions hit the step budget \
+                     (--max-steps %d)\n"
+                    first.Ex.budget_hits first.Ex.runs max_steps;
+                if first.Ex.capped || first.Ex.budget_hits > 0 then exit 3;
+                Printf.printf
+                  "verified: no violation in the full interleaving space\n";
+                exit 0))
   in
   Cmd.v
     (Cmd.info "check"

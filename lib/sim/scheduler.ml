@@ -36,10 +36,11 @@
    instead of twice per iteration.
 
    Spin groups.  Waiters in step with one another make most of the
-   events of a polling workload, and they fire together.  In a run with
-   no controller, no injector and non-serialized reads, every spin step
-   costs the same: a read [read_latency], a pause 1.  The step loop of
-   those runs ([group_loop]) keeps each run of spin steps in one phase,
+   events of a polling workload, and they fire together.  The step loop
+   of a run with no controller and no injector ([group_loop]) fires
+   each event alone ([fire_at]), except the spin steps of a run whose
+   reads do not serialize: each costs the same, a read [read_latency]
+   and a pause 1.  The loop keeps each run of such steps in one phase,
    due in one cycle under consecutive seqs, as one queue entry: a group,
    whose leader's pid stands for its [k] members in seq order.  Firing
    the entry fires the members back to back, takes on any spin entry in
@@ -47,7 +48,7 @@
    next steps as one entry again.  A read that satisfies its predicate
    splits the group: the failed members before it are queued, then its
    processor resumes, and the members after it go on.  Every event, seq,
-   counter and value is what the one-event loop produces:
+   counter and value is what firing each step alone produces:
    - Within a bucket, FIFO order is seq order (event_wheel.ml).  A
      group queued at seq [s] takes [s .. s + k - 1], and [t.seq]
      advances by [k], so no other entry can sit between its members,
@@ -74,10 +75,8 @@
    group's pauses end with its member list as it is, and only their
    count is added.  At the horizon, [Event_wheel.drain] hands a group's
    members to [abort] one by one, in seq order.  Inside an injector's
-   fault window each member gets its own verdict, latency and jitter,
-   and serialized reads queue each member's read behind the others', so
-   those runs keep the one-event loop, as do controlled runs and
-   one-processor runs.
+   fault window each member would get its own verdict, latency and
+   jitter, so a run forms no group until it has left its injector.
 
    Leaving an injector.  From its [quiet_from] cycle on, an injector's
    hooks no longer depend on time (scheduler.mli), so a run can leave
@@ -88,22 +87,21 @@
    fired yet fails the check until it is dropped.  Once the check
    holds, the run leaves at the first event due after [quiet_from] and
    after every spin step pending then ([t.finish]): [t.injector]
-   becomes [None], and a run of two processors or more with
-   non-serialized reads goes on in [group_loop], the others in the
-   one-event loop.  The run is exactly the one that never leaves:
+   becomes [None], and the run goes on in [group_loop].  The run is
+   exactly the one that never leaves:
    - From the check on, the hooks are the identity for every live
      processor: each verdict is its verdict at [quiet_from], [Proceed],
      and latencies and delays issued at or after [quiet_from] cost
      their base.  So the injector loop fires, charges and counts
-     exactly as the hook-free one-event loop would, and leaving changes
+     exactly as [fire_at] with no hook would, and leaving changes
      nothing there.
-   - [group_loop] is that loop, by the spin-group argument above.  Its
-     cost assumptions hold for every spin step issued at or after
-     [quiet_from]; the steps pending at the check may have been costed
-     by the injector, with a hot spot's latency or a jittered pause,
-     and a hooked group step would re-derive their issue times from
-     the base cost.  They all fire before the run leaves, and every
-     step pending when it leaves was issued after the check.  A
+   - [group_loop] fires as [fire_at] would, by the spin-group argument
+     above.  Its cost assumptions hold for every spin step issued at or
+     after [quiet_from]; the steps pending at the check may have been
+     costed by the injector, with a hot spot's latency or a jittered
+     pause, and a hooked group step would re-derive their issue times
+     from the base cost.  They all fire before the run leaves, and
+     every step pending when it leaves was issued after the check.  A
      deferral ends by [quiet_from], so no deferred step is left either.
    - Entries queued before leaving keep their keys.  They are
      single-member entries, and they fire in key order.
@@ -113,9 +111,10 @@
    value.  Predicates are pure functions of the value (the [Engine.S]
    contract), and a failed spin step runs no processor code and writes
    nothing, so no predicate can start to hold: no processor code runs
-   again before the horizon.  Each of the [n] waiters fires one read and
-   one pause every [P = read_latency + 1] cycles, and the queue repeats
-   every period.  Write [L] for [read_latency]:
+   again before the horizon.  Where reads do not serialize, each of the
+   [n] waiters fires one read and one pause every [P = read_latency + 1]
+   cycles, and the queue repeats every period.  Write [L] for
+   [read_latency]:
    - Take the dead state at a bucket boundary [T]: every event due
      before [T] has fired and none due later.  A pending read was
      issued before [T] and is due at [T] or later, so it is due in
@@ -156,19 +155,18 @@
    open, and a raw write is reported once per location.  The check is
    cheap.  The loop's state counts the live processors parked in a
    [Spin]: [issue] adds one when a processor starts a wait, and
-   [fire_reads] takes one off when a wait ends.  Every live processor
+   [end_wait] takes one off when a wait ends.  Every live processor
    can come to wait only when one starts a wait or stops, so only
    those arm the check, and only when the count then equals [t.live];
    any other step pays one test of the flag.  At the next bucket
    boundary, if the count still equals [t.live], the check evaluates
    each waiter's predicate once; it checks again only once re-armed.
-   Two cases step on: an entry in the wheel's overflow tier
-   (a read latency of 1,024 cycles or more), which the rotation cannot
-   move, and a horizon fewer than two whole periods away (three with a
-   tracer).  A dead run with no horizon would spin forever, so it
-   fails instead, naming the cycle.  The one-event loop (one
-   processor, serialized reads, or a run that keeps its injector)
-   does not check.
+   Three cases step on: serialized reads, an entry in the wheel's
+   overflow tier (a read latency of 1,024 cycles or more), which the
+   rotation cannot move, and a horizon fewer than two whole periods
+   away (three with a tracer).  A dead run with no horizon would spin
+   forever, so it fails instead, naming the cycle.  [inject_loop] does
+   not check, so a run that keeps its injector to the end still spins.
 
    An operation's side effect executes when its event fires ([commit]),
    not when it is issued: operations therefore linearize in
@@ -300,9 +298,9 @@ let the_sched () =
 (* The state of the spin-group loop ([group_loop]): its groups' links,
    and what its dead-spin check needs (see the header), how many live
    processors wait in a [Spin], and whether they all came to since the
-   last check.  [issue] and the handler keep those two through
-   [spin_groups], the running loop's state, so a step that starts no
-   wait and ends no processor pays nothing for them. *)
+   last check.  [issue], [commit] and the handler keep those two
+   through [spin_groups], the running loop's state, so a step that
+   starts or ends no wait and ends no processor pays nothing for them. *)
 type groups = {
   member : int array;  (* per pid: the member after it, or -1 *)
   last : int array;  (* per leader of two or more: its last member *)
@@ -481,6 +479,12 @@ let observe_read t p c =
         ~clean:(Memory.shadow_clean c)
   | None -> ()
 
+(* [p]'s wait has ended: clear its slot and take it off [g]'s count of
+   waiters. *)
+let end_wait t g p =
+  t.slots.(p) <- Idle;
+  g.waiting <- g.waiting - 1
+
 (* Fire [p]'s parked operation: its memory semantics take effect now,
    each mutation after the raw-write check of the cell's shadow, and
    [p] resumes with the result.  A spinning slot stays parked until a
@@ -506,7 +510,7 @@ let commit (type a) t p (k : (a, unit) continuation) (eff : a Effect.t) =
         observe_read t p s.cell;
         let v = s.cell.Memory.v in
         if s.until v then begin
-          t.slots.(p) <- Idle;
+          end_wait t !spin_groups p;
           continue k v
         end
         else begin
@@ -618,14 +622,13 @@ let fire_at t time p =
   t.events_fired <- t.events_fired + 1;
   fire t p
 
-(* Spin groups: the hook-free step loop, for runs of two processors or
-   more with no controller and non-serialized reads, from the start
-   with no injector, or once the run has left its injector (see the
-   header).  A group is one queue entry, its leader's pid, standing
-   for the spin steps of [size] processors in one phase, due together
-   under consecutive seqs.  The leader's [pausing] flag is the group's
-   phase; every other member's flag stays set, as its last failed read
-   left it. *)
+(* Spin groups: the hook-free step loop, for every run with no
+   controller, from the start with no injector or once the run has
+   left its injector (see the header).  A group is one queue entry, its
+   leader's pid, standing for the spin steps of [size] processors in
+   one phase, due together under consecutive seqs.  The leader's
+   [pausing] flag is the group's phase; every other member's flag stays
+   set, as its last failed read left it. *)
 
 (* How many processors, [p] and after, wait in a [Spin] when the loop
    starts: a run that leaves its injector may already have some. *)
@@ -747,8 +750,7 @@ let rec fire_reads (t : t) g m first last k =
         if s.until v then begin
           queue_pauses t g first last k;
           g.member.(m) <- -1;
-          t.slots.(m) <- Idle;
-          g.waiting <- g.waiting - 1;
+          end_wait t g m;
           continue kont v;
           fire_reads t g next (-1) (-1) 0
         end
@@ -760,27 +762,22 @@ let rec fire_reads (t : t) g m first last k =
     | _ -> invalid_arg "Sim: a spin group member is not spinning"
   end
 
-(* [fire_at] in the hook-free loop: a spin step fires with its group. *)
+(* [fire_at] in the hook-free loop, but a spin step fires with its
+   group.  The group step charges every read [read_latency].  A
+   serialized read queues behind its cell instead, so a serialized-read
+   run's spin steps fire one by one, and it forms no group. *)
 let fire_grouped (t : t) g time p =
-  t.clock <- time;
-  let slot = t.slots.(p) in
-  t.current <- p;
-  match slot with
-  | Parked (_, Spin s) ->
+  match t.slots.(p) with
+  | Parked (_, Spin s) when not t.config.reads_serialize ->
+      t.clock <- time;
+      t.current <- p;
       if s.pausing then begin
         end_pauses t g p;
         queue_reads t g p (group_last g p) (group_size g p);
         s.pausing <- false
       end
       else fire_reads t g p (-1) (-1) 0
-  | Parked (k, eff) ->
-      t.events_fired <- t.events_fired + 1;
-      t.slots.(p) <- Idle;
-      commit t p k eff
-  | Start ->
-      t.events_fired <- t.events_fired + 1;
-      start t p
-  | Idle -> no_event ()
+  | _ -> fire_at t time p
 
 (* Past the horizon, each group unwinds member by member, in its
    members' key order. *)
@@ -908,8 +905,12 @@ let dead_check t g ~horizon =
   g.armed <- false;
   if g.waiting = t.live && t.live > 0 && stuck t 0 then
     if horizon = max_int then dead_forever t
-    else if not (Etrace.on Etrace.lv_full || Event_wheel.spills t.queue) then
-      fast_forward t g ~horizon
+    else if
+      not
+        (t.config.reads_serialize
+        || Etrace.on Etrace.lv_full
+        || Event_wheel.spills t.queue)
+    then fast_forward t g ~horizon
 
 let rec group_loop t g ~horizon =
   let p = Event_wheel.pop_due t.queue ~horizon in
@@ -946,7 +947,7 @@ let leave t time p =
   t.injector <- None;
   fire_at t time p
 
-(* The one-event loop under an injector: every event is put to
+(* The step loop under an injector: every event is put to
    [inj.on_event] first.  A deferred event is queued again at the
    stall's end, and a dropped one crash-stops its processor: the parked
    continuation is discarded without unwinding, so cleanup code never
@@ -1129,21 +1130,6 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
     in
     step ()
   in
-  (* The step loops take each event off the queue with one [pop_due]
-     before firing it: no option, no tuple, no entry record, zero heap
-     allocation per event (@allocheck).  This one is the hook-free
-     one-event loop. *)
-  let q = t.queue in
-  let rec loop () =
-    let p = Event_wheel.pop_due q ~horizon in
-    if p >= 0 then begin
-      fire_at t (Event_wheel.cursor q) p;
-      loop ()
-    end
-    else if not (Event_wheel.is_empty q) then
-      (* The earliest event is past the horizon. *)
-      Event_wheel.drain q ~next:Event_wheel.no_members (fun p -> abort t p)
-  in
   let enclosing = !spin_groups in
   spin_groups := no_groups;
   (match
@@ -1158,12 +1144,9 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
          match t.injector with
          | Some _ -> ()
          | None ->
-             if t.nprocs > 1 && not t.config.reads_serialize then begin
-               let g = groups t in
-               spin_groups := g;
-               group_loop t g ~horizon
-             end
-             else loop ())
+             let g = groups t in
+             spin_groups := g;
+             group_loop t g ~horizon)
    with
   | () -> spin_groups := enclosing
   | exception e ->

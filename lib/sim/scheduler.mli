@@ -25,18 +25,14 @@
     [Delay 1] itself, each step re-entering the queue under a fresh seq
     with the events, seqs, counters and tracer calls of the hand-written
     [get]/[cpu_relax] loop.  The processor resumes only on a read that
-    satisfies the predicate, and its slot is cleared then.  In a run of
-    two processors or more with no controller and non-serialized reads,
-    from the start with no injector or once the run has left its
-    injector (see {!injector}), the spin steps due in one cycle in one
-    phase under consecutive seqs are one queue entry, a spin group, and
-    fire back to back; the events, seqs, counters and hook calls are
-    still those of the one-event loop (the argument is in
-    scheduler.ml).  Once every live processor of such a run waits on a
-    predicate that fails on its cell's current value, no wait can end:
-    the run fast-forwards whole spin periods towards the horizon,
-    counting and reporting them as if it had stepped them (see
-    {!run}).
+    satisfies the predicate, and its slot is cleared then.  In a run
+    with no controller and non-serialized reads, from the start with no
+    injector or once the run has left its injector (see {!injector}),
+    the spin steps due in one cycle in one phase under consecutive seqs
+    are one queue entry, a spin group, and fire back to back; the
+    events, seqs, counters and hook calls are still those of firing
+    each step alone (the argument is in scheduler.ml).  A run in which
+    no wait can end fast-forwards or fails (see {!run}).
 
     This module is the simulator's engine room; user code should go
     through [Sim.run] and [Sim.Engine]. *)
@@ -107,9 +103,8 @@ type choice =
     crash, it checks that every processor with a pending event proceeds
     at [quiet_from].  Once that holds, it leaves at the first event due
     after [quiet_from] and after every spin step pending then: [injector]
-    becomes [None], and a run of two processors or more with
-    non-serialized reads goes on in the spin-group loop.  Nothing a run
-    reports changes (the argument is in scheduler.ml). *)
+    becomes [None], and the run goes on in the spin-group loop.  Nothing
+    a run reports changes (the argument is in scheduler.ml). *)
 
 type fault_action =
   | Fault_proceed            (** no fault: fire the event now *)
@@ -246,18 +241,18 @@ val run :
     exclusive, and a [controller] accepts at most 62 processors;
     either misuse raises [Invalid_argument].
 
-    Dead spins.  In a run of two processors or more with no controller
-    and non-serialized reads, from the start with no injector or once
-    the run has left it, the scheduler checks, once a processor has
-    started a wait or finished, whether every live processor waits in
-    a [Spin] whose predicate fails on its cell's current value.  Then
-    no processor can run again.  With an [abort_after], the run skips
-    all but the last whole spin period before it: [events_fired] and
-    [reads] count the skipped steps, an installed {!Memory.tracer} gets
-    every skipped read's [on_read] with the arguments and in the order
-    stepping gives, and the last period and the unwinding are stepped.
-    It keeps stepping with full-level tracing on, or when a read's
-    latency is 1,024 cycles or more.  With no [abort_after] the run
-    raises [Failure], naming the cycle from which no wait could end.
-    One-processor runs, serialized-read runs and runs that keep their
-    injector make no check, and spin forever in that state. *)
+    Dead spins.  In a run with no controller, from the start with no
+    injector or once the run has left it, the scheduler checks, once a
+    processor has started a wait or finished, whether every live
+    processor waits in a [Spin] whose predicate fails on its cell's
+    current value.  Then no processor can run again.  With an
+    [abort_after], the run skips all but the last whole spin period
+    before it: [events_fired] and [reads] count the skipped steps, an
+    installed {!Memory.tracer} gets every skipped read's [on_read] with
+    the arguments and in the order stepping gives, and the last period
+    and the unwinding are stepped.  It keeps stepping with serialized
+    reads, with full-level tracing on, or when a read's latency is
+    1,024 cycles or more.  With no [abort_after] the run raises
+    [Failure], naming the cycle from which no wait could end.  A run
+    that keeps its injector to the end makes no check, and spins
+    forever in that state. *)

@@ -69,10 +69,9 @@ let run = Scheduler.run
 
     Once every live processor waits in [Engine.spin_until] on a
     predicate that fails on its cell's current value, no wait can end.
-    A run of two processors or more with non-serialized reads and no
-    injector left detects this.  With [abort_after] it skips ahead to
-    the horizon and reports what stepping would have (the stats, the
-    race detector's reads, the unwinding order).  Without it, [run]
-    raises [Failure] naming the cycle.  One-processor runs,
-    serialized-read runs and runs that keep an injector to the end
-    still spin forever in that state (Scheduler.run). *)
+    A run with no injector left detects this.  With [abort_after] it
+    skips ahead to the horizon, unless reads serialize, and reports
+    what stepping would have (the stats, the race detector's reads, the
+    unwinding order).  Without it, [run] raises [Failure] naming the
+    cycle.  A run that keeps an injector to the end still spins forever
+    in that state (Scheduler.run). *)

@@ -1137,7 +1137,8 @@ let test_spin_abort_unwinds_waiters_in_order () =
    runs with no hook, under the race detector and under a tracer that
    logs every read; the stats, every operation's value and return time,
    the unwinding order, the race report and the tracer's log must
-   agree. *)
+   agree.  Each case runs again under serialized reads, whose dead runs
+   step to the horizon: they must agree too, and skip nothing. *)
 let gen_dead_case =
   let open QCheck.Gen in
   let* c = gen_untraced_case in
@@ -1191,17 +1192,26 @@ let prop_dead_fast_forward =
     (QCheck.make ~print:show_untraced_case gen_dead_case)
     (fun c ->
       incr dead_runs;
-      List.for_all
-        (fun hook ->
-          let before = Sim.Scheduler.skipped_events () in
-          let skipping = run_hooked_case ~wait:E.spin_until ~hook c in
-          let after = Sim.Scheduler.skipped_events () in
-          if after > before && hook = `None then incr dead_skipped;
-          let stepping = run_hooked_case ~wait:spin_loop ~hook c in
-          Sim.Scheduler.skipped_events () = after && skipping = stepping)
-        [ `None; `Detector; `Tracer ])
+      let agrees c =
+        List.for_all
+          (fun hook ->
+            let before = Sim.Scheduler.skipped_events () in
+            let skipping = run_hooked_case ~wait:E.spin_until ~hook c in
+            let after = Sim.Scheduler.skipped_events () in
+            if after > before && hook = `None && c.u_config <> 1 then
+              incr dead_skipped;
+            let stepping = run_hooked_case ~wait:spin_loop ~hook c in
+            Sim.Scheduler.skipped_events () = after
+            && skipping = stepping
+            && (c.u_config <> 1 || after = before))
+          [ `None; `Detector; `Tracer ]
+      in
+      agrees c
+      && (agrees { c with u_config = 1 }
+         || QCheck.Test.fail_report "under serialized reads"))
 
-(* The property, and the share of its runs that fast-forward. *)
+(* The property, and the share of its default and uniform runs that
+   fast-forward. *)
 let test_dead_fast_forward =
   let name, speed, run = QCheck_alcotest.to_alcotest prop_dead_fast_forward in
   Alcotest.test_case name speed (fun () ->
@@ -1211,19 +1221,58 @@ let test_dead_fast_forward =
       Printf.printf "%d of %d runs fast-forwarded\n" !dead_skipped !dead_runs;
       check_bool "most runs fast-forward" true (2 * !dead_skipped > !dead_runs))
 
-(* A run with no horizon whose processors all wait on a flag nobody
-   sets would spin forever; the spin-group loop fails instead, naming
-   the cycle from which no wait can end. *)
+(* A run with no horizon whose processors all wait on predicates no
+   processor can satisfy would spin forever; it fails instead, naming
+   the cycle from which no wait can end.  Two processors or one wait on
+   a flag nobody sets, or two under serialized reads.  In a fourth run,
+   under serialized reads, processor 2 raises the flag to 1 and stops;
+   the waits of 0 and 1 for it end at 38 and 32, each then waits for 5,
+   and from 38 no wait can end. *)
 let test_dead_without_horizon () =
-  let flag = E.cell false in
-  match Sim.run ~procs:2 (fun _ -> ignore (E.spin_until flag Fun.id)) with
-  | _ -> Alcotest.fail "a dead run with no horizon returned"
-  | exception Failure msg ->
-      Alcotest.(check string)
-        "the cause and the cycle"
-        "Sim.run: from cycle 0, all 2 live processors wait on predicates no \
-         processor can satisfy, and no abort_after is set"
-        msg
+  let dead ~config ~procs body =
+    match Sim.run ~config ~procs body with
+    | _ -> Alcotest.fail "a dead run with no horizon returned"
+    | exception Failure msg -> msg
+  in
+  let never ~config ~procs =
+    let flag = E.cell false in
+    dead ~config ~procs (fun _ -> ignore (E.spin_until flag Fun.id))
+  in
+  let again () =
+    let flag = E.cell 0 in
+    dead ~config:M.serialized_reads_config ~procs:3 (fun p ->
+        if p = 2 then begin
+          E.delay 10;
+          E.set flag 1
+        end
+        else begin
+          ignore (E.spin_until flag (fun v -> v >= 1));
+          ignore (E.spin_until flag (fun v -> v >= 5))
+        end)
+  in
+  let message ~cycle ~live =
+    Printf.sprintf
+      "Sim.run: from cycle %d, all %d live processors wait on predicates \
+       no processor can satisfy, and no abort_after is set"
+      cycle live
+  in
+  List.iter
+    (fun (name, expected, run) ->
+      Alcotest.(check string) name expected (run ()))
+    [
+      ( "two processors",
+        message ~cycle:0 ~live:2,
+        fun () -> never ~config:M.default_config ~procs:2 );
+      ( "one processor",
+        message ~cycle:0 ~live:1,
+        fun () -> never ~config:M.default_config ~procs:1 );
+      ( "two processors, serialized reads",
+        message ~cycle:0 ~live:2,
+        fun () -> never ~config:M.serialized_reads_config ~procs:2 );
+      ( "waits that end and start again, serialized reads",
+        message ~cycle:38 ~live:2,
+        again );
+    ]
 
 (* A run leaves its injector once the plan has gone quiet, and nothing
    it reports changes: under the same injector with [quiet_from] set to

@@ -781,36 +781,53 @@ let check_cmd =
                match o.Ex.counterexample with
                | Some (v, r) -> finish_with_violation v r.Ex.schedule
                | None ->
-                   Printf.printf
-                     "reduction: DPOR explored %d executions vs %s%d naive \
-                      (%s%.1fx)\n"
-                     first.Ex.runs
-                     (if o.Ex.capped then ">= " else "")
-                     o.Ex.runs
-                     (if o.Ex.capped then ">= " else "")
-                     (float_of_int o.Ex.runs
-                     /. float_of_int (max 1 first.Ex.runs));
-                   if first.Ex.runs >= o.Ex.runs && not o.Ex.capped then
+                   (* Counts of cut-off executions, or a DPOR count that
+                      stops at the cap, say nothing about the reduction.
+                      A capped naive count is still a lower bound. *)
+                   if first.Ex.budget_hits > 0 || o.Ex.budget_hits > 0 then
                      Printf.printf
-                       "warning: DPOR did not reduce the execution count\n");
-            (match expect with
+                       "reduction: no ratio, %d DPOR and %d naive executions \
+                        hit the step budget (--max-steps %d)\n"
+                       first.Ex.budget_hits o.Ex.budget_hits max_steps
+                   else if first.Ex.capped then
+                     Printf.printf
+                       "reduction: no ratio, the DPOR pass stopped at the \
+                        interleaving budget (--max-interleavings %d)\n"
+                       max_interleavings
+                   else begin
+                     Printf.printf
+                       "reduction: DPOR explored %d executions vs %s%d naive \
+                        (%s%.1fx)\n"
+                       first.Ex.runs
+                       (if o.Ex.capped then ">= " else "")
+                       o.Ex.runs
+                       (if o.Ex.capped then ">= " else "")
+                       (float_of_int o.Ex.runs
+                       /. float_of_int (max 1 first.Ex.runs));
+                     if first.Ex.runs >= o.Ex.runs && not o.Ex.capped then
+                       Printf.printf
+                         "warning: DPOR did not reduce the execution count\n"
+                   end);
+            (* A search that did not cover its space is inconclusive,
+               whether or not a violation was expected. *)
+            if first.Ex.capped then
+              Printf.printf
+                "inconclusive: interleaving budget exhausted before the \
+                 space was covered\n";
+            if first.Ex.budget_hits > 0 then
+              Printf.printf
+                "inconclusive: %d of %d executions hit the step budget \
+                 (--max-steps %d)\n"
+                first.Ex.budget_hits first.Ex.runs max_steps;
+            if first.Ex.capped || first.Ex.budget_hits > 0 then exit 3;
+            match expect with
             | Some p ->
                 Printf.eprintf "check: expected violation of %s not found\n" p;
                 exit 1
             | None ->
-                if first.Ex.capped then
-                  Printf.printf
-                    "inconclusive: interleaving budget exhausted before the \
-                     space was covered\n";
-                if first.Ex.budget_hits > 0 then
-                  Printf.printf
-                    "inconclusive: %d of %d executions hit the step budget \
-                     (--max-steps %d)\n"
-                    first.Ex.budget_hits first.Ex.runs max_steps;
-                if first.Ex.capped || first.Ex.budget_hits > 0 then exit 3;
                 Printf.printf
                   "verified: no violation in the full interleaving space\n";
-                exit 0))
+                exit 0)
   in
   Cmd.v
     (Cmd.info "check"

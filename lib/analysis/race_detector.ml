@@ -79,47 +79,122 @@ let format_report rep =
   in
   header ^ String.concat "" (List.map (fun r -> format_race r ^ "\n") rep.races)
 
+(* One [run]'s audit so far.  The tracer's calls are closures over it,
+   and the helpers below take it as their first argument, so installing
+   the detector builds this record and one closure per tracer call, and
+   a call allocates nothing more. *)
+type state = {
+  strict_reads : bool;
+  max_races : int;
+  dirty : (int, unit) Hashtbl.t;
+      (* locations with a reported raw write: their shadow stays stale
+         (reads cannot heal it), so each is reported once *)
+  mutable found : race list;  (* newest first, at most [max_races] *)
+  mutable n_found : int;
+  mutable overlaps : int;
+  mutable reads : int;
+  mutable commits : int;
+  mutable issues : int;
+}
+
+let add st (loc : Sim.Memory.loc) kind ~pid ~time detail =
+  if st.n_found < st.max_races then
+    st.found <-
+      {
+        kind;
+        loc_id = loc.id;
+        pid;
+        time;
+        writer_pid = loc.epoch_pid;
+        writer_time = loc.epoch_time;
+        writer_seq = loc.epoch_seq;
+        detail;
+      }
+      :: st.found;
+  st.n_found <- st.n_found + 1
+
+let raw_write st (loc : Sim.Memory.loc) ~pid ~time ~op =
+  if not (Hashtbl.mem st.dirty loc.id) then begin
+    Hashtbl.add st.dirty loc.id ();
+    add st loc Raw_write ~pid ~time
+      (Printf.sprintf
+         "%s found a value the engine never installed: a raw mutation \
+          bypassed the effect discipline"
+         op)
+  end
+
+(* Rounded division by a positive [d]. *)
+let floor_div n d = if n >= 0 then n / d else -((d - 1 - n) / d)
+let ceil_div n d = -floor_div (-n) d
+
+(* The count-only call: [reads] again, [repeats] times, the [j]-th
+   [j * period] later.  No value, shadow or window moves meanwhile, so
+   each recorded read finds in every repeat what it found in the first.
+   The first repeat is made read by read, through the detector's
+   [on_read]: it makes every raw-write report any repeat can make,
+   since a location is reported once.  After it, a read's overlap check
+   holds for the [j] whose fire time falls in its location's frozen
+   window, an interval of them, which [overlaps] counts at once.  Under
+   [strict_reads] each such [j] is a race, reported in order with the
+   other reads' checks, so the repeats up to the last such [j] are made
+   read by read too.  The rest are only counted. *)
+let rec overlaps st reads ~period ~repeats last =
+  match reads with
+  | [] -> last
+  | (r : Sim.Memory.read) :: reads ->
+      let loc = r.r_loc in
+      let last =
+        if r.r_serialized || loc.pend_pid < 0 || loc.pend_pid = r.r_pid then
+          last
+        else
+          let first = max 2 (ceil_div (loc.pend_begins - r.r_fired) period)
+          and final =
+            min repeats (floor_div (loc.pend_finish - 1 - r.r_fired) period)
+          in
+          if final < first then last
+          else if st.strict_reads then max last final
+          else begin
+            st.overlaps <- st.overlaps + (final - first + 1);
+            last
+          end
+      in
+      overlaps st reads ~period ~repeats last
+
+let rec expand on_read reads ~shift =
+  match reads with
+  | [] -> ()
+  | (r : Sim.Memory.read) :: reads ->
+      on_read r.r_loc ~pid:r.r_pid ~issued:(r.r_issued + shift)
+        ~fired:(r.r_fired + shift) ~serialized:r.r_serialized ~clean:r.r_clean;
+      expand on_read reads ~shift
+
+let on_reads st on_read reads ~period ~repeats =
+  let last = min repeats (overlaps st reads ~period ~repeats 1) in
+  for j = 1 to last do
+    expand on_read reads ~shift:(j * period)
+  done;
+  if repeats > last then
+    st.reads <- st.reads + ((repeats - last) * List.length reads)
+
 (* Run [f] with the detector observing all simulated-memory traffic.
    Nested uses restore the previously installed tracer. *)
 let run ?(strict_reads = false) ?(max_races = 1000) f =
-  let races = ref [] in
-  let n_races = ref 0 in
-  let overlapping_reads = ref 0 in
-  let reads_checked = ref 0 in
-  let commits_checked = ref 0 in
-  let issues_checked = ref 0 in
-  (* Locations with an already-reported raw write: their shadow stays
-     stale (reads cannot heal it), so report each location once. *)
-  let dirty : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let add (loc : Sim.Memory.loc) kind ~pid ~time detail =
-    if !n_races < max_races then
-      races :=
-        {
-          kind;
-          loc_id = loc.id;
-          pid;
-          time;
-          writer_pid = loc.epoch_pid;
-          writer_time = loc.epoch_time;
-          writer_seq = loc.epoch_seq;
-          detail;
-        }
-        :: !races;
-    incr n_races
-  in
-  let raw_write (loc : Sim.Memory.loc) ~pid ~time ~op =
-    if not (Hashtbl.mem dirty loc.id) then begin
-      Hashtbl.add dirty loc.id ();
-      add loc Raw_write ~pid ~time
-        (Printf.sprintf
-           "%s found a value the engine never installed: a raw mutation \
-            bypassed the effect discipline"
-           op)
-    end
+  let st =
+    {
+      strict_reads;
+      max_races;
+      dirty = Hashtbl.create 64;
+      found = [];
+      n_found = 0;
+      overlaps = 0;
+      reads = 0;
+      commits = 0;
+      issues = 0;
+    }
   in
   let on_read (loc : Sim.Memory.loc) ~pid ~issued ~fired ~serialized ~clean =
-    incr reads_checked;
-    if not clean then raw_write loc ~pid ~time:fired ~op:"read";
+    st.reads <- st.reads + 1;
+    if not clean then raw_write st loc ~pid ~time:fired ~op:"read";
     if
       (not serialized)
       && loc.pend_pid >= 0
@@ -127,9 +202,9 @@ let run ?(strict_reads = false) ?(max_races = 1000) f =
       && fired >= loc.pend_begins
       && fired < loc.pend_finish
     then begin
-      incr overlapping_reads;
+      st.overlaps <- st.overlaps + 1;
       if strict_reads then
-        add loc Read_write_overlap ~pid ~time:fired
+        add st loc Read_write_overlap ~pid ~time:fired
           (Printf.sprintf
              "read issued at t=%d completed inside pid %d's in-flight \
               serialized window [%d, %d)"
@@ -137,29 +212,38 @@ let run ?(strict_reads = false) ?(max_races = 1000) f =
     end
   in
   let on_issue (loc : Sim.Memory.loc) ~pid ~now ~begins ~finish =
-    incr issues_checked;
+    st.issues <- st.issues + 1;
     (* [begins] is max(now, busy_until) and busy_until is the previous
        op's finish, so overlap here means the busy-until chain broke. *)
     if loc.pend_pid >= 0 && begins < loc.pend_finish then
-      add loc Serialized_overlap ~pid ~time:now
+      add st loc Serialized_overlap ~pid ~time:now
         (Printf.sprintf
            "serialized window [%d, %d) overlaps pid %d's window [%d, %d): \
             busy-until chain violated"
            begins finish loc.pend_pid loc.pend_begins loc.pend_finish)
   in
   let on_commit (loc : Sim.Memory.loc) ~pid ~time ~clean =
-    incr commits_checked;
-    if not clean then raw_write loc ~pid ~time ~op:"serialized op"
+    st.commits <- st.commits + 1;
+    if not clean then raw_write st loc ~pid ~time ~op:"serialized op"
   in
   let prev = !Sim.Memory.tracer in
-  Sim.Memory.tracer := Some { Sim.Memory.on_read; on_issue; on_commit };
+  Sim.Memory.tracer :=
+    Some
+      {
+        Sim.Memory.on_read;
+        on_reads =
+          (fun reads ~period ~repeats ->
+            on_reads st on_read reads ~period ~repeats);
+        on_issue;
+        on_commit;
+      };
   Fun.protect ~finally:(fun () -> Sim.Memory.tracer := prev) @@ fun () ->
   let result = f () in
   ( result,
     {
-      races = List.rev !races;
-      overlapping_reads = !overlapping_reads;
-      reads_checked = !reads_checked;
-      commits_checked = !commits_checked;
-      issues_checked = !issues_checked;
+      races = List.rev st.found;
+      overlapping_reads = st.overlaps;
+      reads_checked = st.reads;
+      commits_checked = st.commits;
+      issues_checked = st.issues;
     } )

@@ -163,11 +163,29 @@ let cells_length cs = cs.length
    stamp is overwritten, so the observer can compare the new window
    against the previous one (the scheduler self-check).  [on_read] and
    [on_commit] fire at the operation's completion event, after the
-   [clean] raw-write check but before (commit) stamps are refreshed. *)
+   [clean] raw-write check but before (commit) stamps are refreshed.
+
+   [on_reads] is count-only: it stands for [on_read] calls a dead
+   run's fast-forward skips (see scheduler.ml, "Dead spins").  Its
+   reads are the last stepped period's, in call order; the calls it
+   stands for are those reads again, period after period, each time
+   [period] cycles later, [repeats] times.  Nothing commits or issues
+   meanwhile, so every location's value and stamps are what they are
+   at the call, and a tracer can answer for all the repeats at once. *)
+type read = {
+  r_loc : loc;
+  r_pid : int;
+  r_issued : int;
+  r_fired : int;
+  r_serialized : bool;
+  r_clean : bool;
+}
+
 type tracer = {
   on_read :
     loc -> pid:int -> issued:int -> fired:int -> serialized:bool ->
     clean:bool -> unit;
+  on_reads : read list -> period:int -> repeats:int -> unit;
   on_issue : loc -> pid:int -> now:int -> begins:int -> finish:int -> unit;
   on_commit : loc -> pid:int -> time:int -> clean:bool -> unit;
 }

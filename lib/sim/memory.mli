@@ -77,11 +77,35 @@ val cells_length : 'a cells -> int
 
 (** {1 Analysis hooks (etrees.analysis)} *)
 
+type read = {
+  r_loc : loc;
+  r_pid : int;
+  r_issued : int;
+  r_fired : int;
+  r_serialized : bool;
+  r_clean : bool;
+}
+(** One [on_read] call's arguments. *)
+
 type tracer = {
   on_read :
     loc -> pid:int -> issued:int -> fired:int -> serialized:bool ->
     clean:bool -> unit;
       (** a read completed; [clean] is the {!shadow_clean} verdict *)
+  on_reads : read list -> period:int -> repeats:int -> unit;
+      (** count-only: [on_reads reads ~period ~repeats] stands for the
+          [on_read] calls of [reads], in order, made again for
+          [j = 1 .. repeats] in turn with [issued] and [fired] moved
+          [j * period] cycles later.  Expanding it so gives exactly the
+          calls it replaces.  A dead run's fast-forward makes it once
+          (see [Sim.run]): [reads] are the calls of the last period it
+          stepped, just made, and the skipped periods repeat them
+          exactly, since the queue repeats every period and a failed
+          read runs no processor code (scheduler.ml, "Dead spins").
+          Nothing commits and nothing issues while they are skipped,
+          so every location's value and stamps stay what they are at
+          the call, and a tracer can answer in O([reads]) instead of
+          O([repeats * reads]). *)
   on_issue : loc -> pid:int -> now:int -> begins:int -> finish:int -> unit;
       (** a serialized op was issued — fires {e before} the pending
           window is overwritten, so [loc.pend_finish] still describes

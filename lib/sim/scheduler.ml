@@ -147,20 +147,25 @@
    entries a hooked read writes are rewritten as the loop leaves them.
    Hooks see what they saw.  With full-level tracing on, the run steps.
    With a [Memory.tracer] installed, one period is stepped through a
-   recorder that forwards the tracer's reads and keeps their arguments,
-   and the skipped periods replay them in the same order with their
-   times moved by whole periods: exact, because the period is.  For the
-   race detector the replayed reads can only be counted, as the stepped
-   ones were: values and shadows are frozen, no serialized window is
-   open, and a raw write is reported once per location.  The check is
-   cheap.  The loop's state counts the live processors parked in a
-   [Spin]: [issue] adds one when a processor starts a wait, and
-   [end_wait] takes one off when a wait ends.  Every live processor
-   can come to wait only when one starts a wait or stops, so only
-   those arm the check, and only when the count then equals [t.live];
-   any other step pays one test of the flag.  At the next bucket
-   boundary, if the count still equals [t.live], the check evaluates
-   each waiter's predicate once; it checks again only once re-armed.
+   recorder that forwards the tracer's reads and keeps their arguments.
+   The tracer then gets those reads, [P] and [k] in one count-only
+   call, [on_reads].  In the [j]-th skipped period the loop would make
+   each recorded read again, in the same order, with its [issued] and
+   [fired] [j·P] later and every other argument the same: the queue
+   repeats every period, and a failed read runs no processor code.  So
+   the call, expanded so, is exactly the loop's reads.  Nothing commits
+   or issues while they are skipped, so values, shadows and service
+   windows stay what they are at the call, and a tracer can answer for
+   all [k] periods at once: the race detector does in O(reads per
+   period) (race_detector.ml).
+   The check is cheap.  The loop's state counts the live processors
+   parked in a [Spin]: [issue] adds one when a processor starts a wait,
+   and [end_wait] takes one off when a wait ends.  Every live processor
+   can come to wait only when one starts a wait or stops, so only those
+   arm the check, and only when the count then equals [t.live]; any
+   other step pays one test of the flag.  At the next bucket boundary,
+   if the count still equals [t.live], the check evaluates each
+   waiter's predicate once; it checks again only once re-armed.
    Three cases step on: serialized reads, an entry in the wheel's
    overflow tier (a read latency of 1,024 cycles or more), which the
    rotation cannot move, and a horizon fewer than two whole periods
@@ -824,21 +829,6 @@ let rec step_to t g ~until =
     step_to t g ~until
   end
 
-(* Make [tr]'s recorded reads [calls] again, [d] cycles later. *)
-let rec replay (tr : Memory.tracer) calls d =
-  match calls with
-  | [] -> ()
-  | (loc, pid, issued, fired, serialized, clean) :: calls ->
-      tr.on_read loc ~pid ~issued:(issued + d) ~fired:(fired + d) ~serialized
-        ~clean;
-      replay tr calls d
-
-let rec replay_periods tr calls ~period j k =
-  if j <= k then begin
-    replay tr calls (j * period);
-    replay_periods tr calls ~period (j + 1) k
-  end
-
 (* Step to [until] through a recorder that forwards [tr]'s reads and
    keeps their arguments; return them in call order, or [] if a hook
    changed meanwhile. *)
@@ -850,7 +840,16 @@ let record t g (tr : Memory.tracer) ~until =
         tr with
         on_read =
           (fun loc ~pid ~issued ~fired ~serialized ~clean ->
-            calls := (loc, pid, issued, fired, serialized, clean) :: !calls;
+            calls :=
+              {
+                Memory.r_loc = loc;
+                r_pid = pid;
+                r_issued = issued;
+                r_fired = fired;
+                r_serialized = serialized;
+                r_clean = clean;
+              }
+              :: !calls;
             tr.on_read loc ~pid ~issued ~fired ~serialized ~clean);
       }
   in
@@ -868,10 +867,10 @@ let record t g (tr : Memory.tracer) ~until =
 
 (* A dead run, at the boundary after the cursor's bucket, skips all but
    its last whole period before the horizon.  With a tracer installed,
-   it first steps one period through [record], then replays that
-   period's reads once per skipped period.  If that period is not what
-   the argument says (a hook changed, or a processor ran), the run
-   keeps stepping. *)
+   it first steps one period through [record], then hands the tracer
+   that period's reads and the number of skipped periods in one
+   [on_reads].  If that period is not what the argument says (a hook
+   changed, or a processor ran), the run keeps stepping. *)
 let fast_forward t g ~horizon =
   let period = t.config.read_latency + 1 in
   let from = Event_wheel.cursor t.queue + 1 in
@@ -887,7 +886,7 @@ let fast_forward t g ~horizon =
           && (not (Etrace.on Etrace.lv_full))
           && List.length calls = t.live
         then begin
-          replay_periods tr calls ~period 1 (whole - 2);
+          tr.on_reads calls ~period ~repeats:(whole - 2);
           skip t ~period (whole - 2)
         end
       end

@@ -248,9 +248,9 @@ val run :
     current value.  Then no processor can run again.  With an
     [abort_after], the run skips all but the last whole spin period
     before it: [events_fired] and [reads] count the skipped steps, an
-    installed {!Memory.tracer} gets every skipped read's [on_read] with
-    the arguments and in the order stepping gives, and the last period
-    and the unwinding are stepped.  It keeps stepping with serialized
+    installed {!Memory.tracer} gets the skipped reads in one
+    [on_reads] call, which expands to the [on_read] calls stepping
+    gives, and the last period and the unwinding are stepped.  It keeps stepping with serialized
     reads, with full-level tracing on, or when a read's latency is
     1,024 cycles or more.  With no [abort_after] the run raises
     [Failure], naming the cycle from which no wait could end.  A run

@@ -123,6 +123,92 @@ let test_nested_runs_restore_tracer () =
   no_races "inner" inner;
   check_bool "tracer uninstalled after run" true (!M.tracer = None)
 
+(* The count-only [on_reads] call against the [on_read] calls it
+   stands for: processors 0 to 3 each read a cell once per 7-cycle
+   period, firing at 100, 101, ..., and the call stands for 50 more
+   periods.  The detector must report the same, races in order
+   included, whether it gets them in one call or read by read. *)
+let period = 7
+let repeats = 50
+
+let period_reads cells =
+  List.mapi
+    (fun pid c ->
+      let fired = 100 + pid in
+      {
+        M.r_loc = c.M.loc;
+        r_pid = pid;
+        r_issued = fired - 6;
+        r_fired = fired;
+        r_serialized = false;
+        r_clean = M.shadow_clean c;
+      })
+    cells
+
+let count_only ?strict_reads reads =
+  let tracer () = Option.get !M.tracer in
+  let (), counted =
+    Rd.run ?strict_reads (fun () ->
+        (tracer ()).M.on_reads reads ~period ~repeats)
+  in
+  let (), stepped =
+    Rd.run ?strict_reads (fun () ->
+        let tr = tracer () in
+        for j = 1 to repeats do
+          List.iter
+            (fun (r : M.read) ->
+              tr.M.on_read r.M.r_loc ~pid:r.r_pid
+                ~issued:(r.r_issued + (j * period))
+                ~fired:(r.r_fired + (j * period))
+                ~serialized:r.r_serialized ~clean:r.r_clean)
+            reads
+        done)
+  in
+  Alcotest.(check string)
+    "the report of the reads it stands for" (Rd.format_report stepped)
+    (Rd.format_report counted);
+  check_bool "the whole report, races in order" true (counted = stepped);
+  check_int "every read checked" (repeats * List.length reads)
+    counted.Rd.reads_checked;
+  counted
+
+let test_count_only_clean () =
+  let a = M.cell 0 and b = M.cell 0 in
+  let report = count_only (period_reads [ a; b; a ]) in
+  no_races "clean cells" report;
+  check_int "no overlapping read" 0 report.Rd.overlapping_reads
+
+let test_count_only_raw_write () =
+  let a = M.cell 0 and b = M.cell 0 in
+  b.M.v <- 1 (* raw: no E.set *);
+  let report = count_only (period_reads [ a; b; b ]) in
+  check_bool "one raw-write race" true (kinds report = [ Rd.Raw_write ]);
+  Alcotest.(check (list (pair int int)))
+    "at processor 1's first repeat" [ (1, 101 + period) ]
+    (List.map (fun r -> (r.Rd.pid, r.Rd.time)) report.Rd.races)
+
+(* Processor 0's serialized window on [a], [107, 129), is open across
+   the first three repeats: processor 1's reads of [a] fire in it at
+   108, 115 and 122, processor 3's at 110, 117 and 124, and processor
+   0's own reads do not count.  Processor 2's cell [b] was
+   raw-written, so under strict reads its race falls between the
+   others' in the first repeat. *)
+let test_count_only_open_window () =
+  let a = M.cell 0 and b = M.cell 0 in
+  b.M.v <- 1 (* raw: no E.set *);
+  M.issue_stamp a.M.loc ~pid:0 ~begins:107 ~finish:129;
+  let reads = period_reads [ a; a; b; a ] in
+  let relaxed = count_only reads in
+  check_bool "relaxed: only the raw write" true
+    (kinds relaxed = [ Rd.Raw_write ]);
+  check_int "relaxed: overlapping reads" 6 relaxed.Rd.overlapping_reads;
+  let strict = count_only ~strict_reads:true reads in
+  Alcotest.(check (list (pair int int)))
+    "strict: overlap races and the raw write, in order"
+    [ (1, 108); (2, 109); (3, 110); (1, 115); (3, 117); (1, 122); (3, 124) ]
+    (List.map (fun r -> (r.Rd.pid, r.Rd.time)) strict.Rd.races);
+  check_int "strict: overlapping reads" 6 strict.Rd.overlapping_reads
+
 (* ------------------------------------------------------------------ *)
 (* Race detector: clean structures stay clean                          *)
 (* ------------------------------------------------------------------ *)
@@ -428,6 +514,12 @@ let () =
             test_strict_reads_promotion;
           Alcotest.test_case "tracer restored after run" `Quick
             test_nested_runs_restore_tracer;
+          Alcotest.test_case "count-only reads: a clean cell" `Quick
+            test_count_only_clean;
+          Alcotest.test_case "count-only reads: a raw-written cell" `Quick
+            test_count_only_raw_write;
+          Alcotest.test_case "count-only reads: an open window" `Quick
+            test_count_only_open_window;
         ] );
       ( "clean-structures",
         [

@@ -1008,6 +1008,18 @@ let prop_spin_untraced_equivalence =
       run_untraced_case ~wait:E.spin_until c
       = run_untraced_case ~wait:spin_loop c)
 
+(* A memory tracer's count-only [on_reads], made the [on_read] calls it
+   stands for. *)
+let expand_reads on_read reads ~period ~repeats =
+  for j = 1 to repeats do
+    List.iter
+      (fun (r : M.read) ->
+        on_read r.M.r_loc ~pid:r.r_pid ~issued:(r.r_issued + (j * period))
+          ~fired:(r.r_fired + (j * period)) ~serialized:r.r_serialized
+          ~clean:r.r_clean)
+      reads
+  done
+
 (* Full-level tracing and the memory tracer can be switched on and off
    inside a run; waiters in step see each switch as the hand-written
    loop's separate events would.  Five processors wait in lockstep on a
@@ -1023,11 +1035,13 @@ let test_spin_hooks_switched_mid_run () =
       events := e :: !events;
       if List.length !events = 7 then Etrace.uninstall ()
     in
+    let on_read _ ~pid ~issued ~fired ~serialized:_ ~clean:_ =
+      reads := (pid, issued, fired) :: !reads
+    in
     let tracer =
       {
-        M.on_read =
-          (fun _ ~pid ~issued ~fired ~serialized:_ ~clean:_ ->
-            reads := (pid, issued, fired) :: !reads);
+        M.on_read;
+        on_reads = expand_reads on_read;
         on_issue = (fun _ ~pid:_ ~now:_ ~begins:_ ~finish:_ -> ());
         on_commit = (fun _ ~pid:_ ~time:_ ~clean:_ -> ());
       }
@@ -1135,10 +1149,15 @@ let test_spin_abort_unwinds_waiters_in_order () =
    scripts under the default or the uniform config, with horizons long
    enough that most runs end with their survivors stuck.  Each case
    runs with no hook, under the race detector and under a tracer that
-   logs every read; the stats, every operation's value and return time,
+   logs every read, expanding each count-only [on_reads] into the reads
+   it stands for; the stats, every operation's value and return time,
    the unwinding order, the race report and the tracer's log must
-   agree.  Each case runs again under serialized reads, whose dead runs
-   step to the horizon: they must agree too, and skip nothing. *)
+   agree.  The tracer also counts its [on_read] calls and the reads its
+   [on_reads] calls stand for: together they are the stepped loop's
+   [on_read] calls, and [on_read] alone falls short of them by the
+   skipped reads, half the skipped events.  Each case runs again under
+   serialized reads, whose dead runs step to the horizon: they must
+   agree too, and skip nothing. *)
 let gen_dead_case =
   let open QCheck.Gen in
   let* c = gen_untraced_case in
@@ -1148,21 +1167,31 @@ let gen_dead_case =
 
 (* [run_untraced_case] under [hook]: `Detector, or `Tracer, which logs
    each read's cell, pid, issue and fire times and shadow verdict.  Cell
-   ids are relative to the run's first cell. *)
+   ids are relative to the run's first cell.  With the outcome come the
+   tracer's [on_read] calls and the reads its [on_reads] calls stood
+   for. *)
 let run_hooked_case ~wait ~hook c =
   let base = M.loc_count () in
-  let reads = ref [] in
+  let reads = ref [] and calls = ref 0 and counted = ref 0 in
+  let log loc ~pid ~issued ~fired ~serialized:_ ~clean =
+    reads := (loc.M.id - base, pid, issued, fired, clean) :: !reads
+  in
   let tracer =
     {
       M.on_read =
-        (fun loc ~pid ~issued ~fired ~serialized:_ ~clean ->
-          reads := (loc.M.id - base, pid, issued, fired, clean) :: !reads);
+        (fun loc ~pid ~issued ~fired ~serialized ~clean ->
+          incr calls;
+          log loc ~pid ~issued ~fired ~serialized ~clean);
+      on_reads =
+        (fun rs ~period ~repeats ->
+          counted := !counted + (repeats * List.length rs);
+          expand_reads log rs ~period ~repeats);
       on_issue = (fun _ ~pid:_ ~now:_ ~begins:_ ~finish:_ -> ());
       on_commit = (fun _ ~pid:_ ~time:_ ~clean:_ -> ());
     }
   in
   match hook with
-  | `None -> (run_untraced_case ~wait c, None, [])
+  | `None -> ((run_untraced_case ~wait c, None, []), (0, 0))
   | `Detector ->
       let r, report =
         Analysis.Race_detector.run (fun () -> run_untraced_case ~wait c)
@@ -1173,7 +1202,7 @@ let run_hooked_case ~wait ~hook c =
             { x with loc_id = x.loc_id - base; detail = "" })
           report.races
       in
-      (r, Some { report with races }, [])
+      ((r, Some { report with races }, []), (0, 0))
   | `Tracer ->
       let saved = !M.tracer in
       M.tracer := Some tracer;
@@ -1182,7 +1211,7 @@ let run_hooked_case ~wait ~hook c =
           ~finally:(fun () -> M.tracer := saved)
           (fun () -> run_untraced_case ~wait c)
       in
-      (r, None, List.rev !reads)
+      ((r, None, List.rev !reads), (!calls, !counted))
 
 let dead_runs = ref 0
 let dead_skipped = ref 0
@@ -1196,14 +1225,26 @@ let prop_dead_fast_forward =
         List.for_all
           (fun hook ->
             let before = Sim.Scheduler.skipped_events () in
-            let skipping = run_hooked_case ~wait:E.spin_until ~hook c in
+            let skipping, (calls, counted) =
+              run_hooked_case ~wait:E.spin_until ~hook c
+            in
             let after = Sim.Scheduler.skipped_events () in
             if after > before && hook = `None && c.u_config <> 1 then
               incr dead_skipped;
-            let stepping = run_hooked_case ~wait:spin_loop ~hook c in
+            let stepping, (stepped_calls, stepped_counted) =
+              run_hooked_case ~wait:spin_loop ~hook c
+            in
             Sim.Scheduler.skipped_events () = after
             && skipping = stepping
-            && (c.u_config <> 1 || after = before))
+            && (c.u_config <> 1 || after = before)
+            && (calls + counted = stepped_calls && stepped_counted = 0
+               || QCheck.Test.fail_report
+                    "on_read calls plus the reads on_reads stands for are \
+                     not the stepped loop's on_read calls")
+            && (hook <> `Tracer
+               || calls = stepped_calls - ((after - before) / 2)
+               || QCheck.Test.fail_report
+                    "on_read alone does not fall short by the skipped reads"))
           [ `None; `Detector; `Tracer ]
       in
       agrees c

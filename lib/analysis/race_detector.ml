@@ -123,42 +123,33 @@ let raw_write st (loc : Sim.Memory.loc) ~pid ~time ~op =
          op)
   end
 
-(* Rounded division by a positive [d]. *)
-let floor_div n d = if n >= 0 then n / d else -((d - 1 - n) / d)
-let ceil_div n d = -floor_div (-n) d
-
 (* The count-only call: [reads] again, [repeats] times, the [j]-th
    [j * period] later.  No value, shadow or window moves meanwhile, so
    each recorded read finds in every repeat what it found in the first.
-   The first repeat is made read by read, through the detector's
-   [on_read]: it makes every raw-write report any repeat can make,
-   since a location is reported once.  After it, a read's overlap check
-   holds for the [j] whose fire time falls in its location's frozen
-   window, an interval of them, which [overlaps] counts at once.  Under
-   [strict_reads] each such [j] is a race, reported in order with the
-   other reads' checks, so the repeats up to the last such [j] are made
-   read by read too.  The rest are only counted. *)
-let rec overlaps st reads ~period ~repeats last =
+   The repeats up to [last] are made read by read, through the
+   detector's [on_read], and the rest are only counted.  The first
+   repeat is always made: it makes every raw-write report any repeat
+   can make, since a location is reported once.  A read can also fall
+   in another processor's frozen window on its location, in repeats
+   that fire before the window's finish, so [last] is at least the
+   last such repeat: overlaps, and under [strict_reads] their races in
+   order with the other reads' checks, come out as stepping makes
+   them.  In a dead run every window has closed (its op's event fires,
+   or a crash drops it, at the window's finish or later, and the run is
+   dead only once no processor waits on an op), so [last] is 1. *)
+let rec last_open reads ~period last =
   match reads with
   | [] -> last
   | (r : Sim.Memory.read) :: reads ->
       let loc = r.r_loc in
       let last =
-        if r.r_serialized || loc.pend_pid < 0 || loc.pend_pid = r.r_pid then
-          last
-        else
-          let first = max 2 (ceil_div (loc.pend_begins - r.r_fired) period)
-          and final =
-            min repeats (floor_div (loc.pend_finish - 1 - r.r_fired) period)
-          in
-          if final < first then last
-          else if st.strict_reads then max last final
-          else begin
-            st.overlaps <- st.overlaps + (final - first + 1);
-            last
-          end
+        if
+          r.r_serialized || loc.pend_pid < 0 || loc.pend_pid = r.r_pid
+          || loc.pend_finish <= r.r_fired
+        then last
+        else max last ((loc.pend_finish - 1 - r.r_fired) / period)
       in
-      overlaps st reads ~period ~repeats last
+      last_open reads ~period last
 
 let rec expand on_read reads ~shift =
   match reads with
@@ -169,7 +160,7 @@ let rec expand on_read reads ~shift =
       expand on_read reads ~shift
 
 let on_reads st on_read reads ~period ~repeats =
-  let last = min repeats (overlaps st reads ~period ~repeats 1) in
+  let last = min repeats (last_open reads ~period 1) in
   for j = 1 to last do
     expand on_read reads ~shift:(j * period)
   done;

@@ -1581,6 +1581,191 @@ let test_controller_proc_limit () =
   | _ -> Alcotest.fail "a 63-processor controlled run was accepted"
   | exception Invalid_argument _ -> ()
 
+(* Two processors each take an MCS lock, update a cell inside it and
+   hold it across a delay, under a controller that fires the runnable
+   pid after the last one it fired (round robin).  The controller gets
+   [locked ()], which holds once both processors have entered
+   [with_lock] and one is in its critical section, and [handlers] logs
+   every exception that reaches a body's own handler. *)
+let locked_pair controller =
+  let l = Sim_mcs.create ~capacity:2 () in
+  let c = E.cell 0 and entered = ref 0 and inside = ref 0 in
+  let handlers = ref [] in
+  let locked () = !entered = 2 && !inside > 0 in
+  let body p =
+    incr entered;
+    match
+      Sim_mcs.with_lock l (fun () ->
+          incr inside;
+          E.set c (E.get c + 1);
+          E.delay 3;
+          ignore (E.get c);
+          decr inside)
+    with
+    | () -> ()
+    | exception e ->
+        handlers := (p, e = Sim.Aborted) :: !handlers;
+        raise e
+  in
+  let result =
+    match Sim.run ~controller:(controller locked) ~procs:2 body with
+    | stats -> Ok stats
+    | exception e -> Error e
+  in
+  (result, !handlers)
+
+let round_robin last runnable =
+  let rec next i =
+    let p = (last + i) mod 2 in
+    if runnable land (1 lsl p) <> 0 then p else next (i + 1)
+  in
+  next 1
+
+exception Controller_failed
+
+(* A controller that raises while a processor sits inside [with_lock]:
+   the exception leaves [Sim.run] from the loop, so no body sees it,
+   the lock's handler never runs its [release], and the controller is
+   not called again. *)
+let test_controller_raises_in_lock () =
+  let calls = ref 0 and raised = ref false and last = ref 1 in
+  let controller locked _ runnable =
+    if !raised then Alcotest.fail "the controller was called after it raised";
+    incr calls;
+    if locked () then begin
+      raised := true;
+      raise Controller_failed
+    end;
+    last := round_robin !last runnable;
+    Sim.Scheduler.Fire !last
+  in
+  let result, handlers = locked_pair controller in
+  (match result with
+  | Error Controller_failed -> ()
+  | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "the controller's exception was lost");
+  check_int "the call that raised" 6 !calls;
+  check_int "no body's handler ran" 0 (List.length handlers)
+
+(* A controller that quits while a processor sits inside [with_lock]:
+   both bodies unwind, [release] runs in the unwinding, and the
+   controller is not consulted again. *)
+let test_controller_quits_in_lock () =
+  let calls = ref 0 and quit = ref false and last = ref 1 in
+  let controller locked _ runnable =
+    if !quit then Alcotest.fail "the controller was called while unwinding";
+    incr calls;
+    if locked () then begin
+      quit := true;
+      Sim.Scheduler.Quit
+    end
+    else begin
+      last := round_robin !last runnable;
+      Sim.Scheduler.Fire !last
+    end
+  in
+  let result, handlers = locked_pair controller in
+  (match result with
+  | Ok stats ->
+      check_int "both processors unwound" 2 stats.Sim.aborted_procs;
+      Alcotest.(check (list int))
+        "events, end clock, reads, writes, rmws" [ 7; 28; 2; 4; 2 ]
+        [ stats.events_fired; stats.end_clock; stats.reads; stats.writes;
+          stats.rmws ]
+  | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e));
+  check_int "calls, the last one Quit" 6 !calls;
+  Alcotest.(check (list (pair int bool)))
+    "each body saw Aborted" [ (0, true); (1, true) ]
+    (List.sort compare handlers)
+
+(* [Fire q] for a q that is not runnable, a finished processor or one
+   out of range, raises [Invalid_argument] from [Sim.run]. *)
+let test_controller_fires_idle_pid () =
+  List.iter
+    (fun q ->
+      let c = E.cell 0 in
+      let controller _ _ = Sim.Scheduler.Fire q in
+      match
+        Sim.run ~controller ~procs:2 (fun p ->
+            if p = 0 then begin
+              E.set c 1;
+              E.set c 2
+            end)
+      with
+      | _ -> Alcotest.failf "Fire %d was accepted" q
+      | exception Invalid_argument _ -> ())
+    [ 1; 2; -1 ]
+
+(* A seeded random controller over four checker scenarios, quitting at
+   random now and then.  Every call's clock, runnable mask and each
+   runnable pid's location key (its id from the run's first location)
+   and kind, and every run's stats, go into one digest. *)
+let test_random_controller_digest () =
+  let b = Buffer.create 4096 in
+  let kind = function
+    | Sim.Scheduler.Acc_read -> 'r'
+    | Acc_write -> 'w'
+    | Acc_rmw -> 'x'
+  in
+  let runs = ref 0 and quits = ref 0 in
+  List.iter
+    (fun ((sc : Check.Scenario.t), procs, width, ops) ->
+      let prog = sc.make ~procs ~width ~ops in
+      for seed = 1 to 40 do
+        let rng = Splitmix.of_int seed in
+        let base = M.loc_count () in
+        let inst = prog.Check.Explore.prepare () in
+        let calls = ref 0 in
+        let controller (t : Sim.Scheduler.t) runnable =
+          incr calls;
+          Printf.bprintf b "%d %d:" t.clock runnable;
+          for p = 0 to procs - 1 do
+            if runnable land (1 lsl p) <> 0 then
+              Printf.bprintf b " %d%c"
+                ((Sim.Scheduler.pending_loc t p).M.id - base)
+                (kind (Sim.Scheduler.pending_kind t p))
+          done;
+          Buffer.add_char b '\n';
+          if !calls >= 2_000 || Splitmix.int rng 60 = 0 then begin
+            incr quits;
+            Sim.Scheduler.Quit
+          end
+          else begin
+            let rec pick k p =
+              if runnable land (1 lsl p) = 0 then pick k (p + 1)
+              else if k = 0 then p
+              else pick (k - 1) (p + 1)
+            in
+            let n = ref 0 in
+            for p = 0 to procs - 1 do
+              if runnable land (1 lsl p) <> 0 then incr n
+            done;
+            Sim.Scheduler.Fire (pick (Splitmix.int rng !n) 0)
+          end
+        in
+        let s =
+          Sim.run ~seed ~config:M.uniform_config ~controller ~procs
+            inst.Check.Explore.body
+        in
+        incr runs;
+        Printf.bprintf b "%s: %d %d %d %d %d %d %d\n" sc.name s.Sim.end_clock
+          s.events_fired s.aborted_procs s.reads s.writes s.rmws
+          s.queue_wait_cycles
+      done)
+    Check.Scenario.
+      [
+        (elim_pool, 2, 2, 1);
+        (counter_mixed, 2, 2, 1);
+        (central_pool, 3, 2, 2);
+        (shard, 2, 2, 2);
+      ];
+  check_int "runs" 160 !runs;
+  Printf.printf "%d of %d runs quit, %d bytes of calls\n" !quits !runs
+    (Buffer.length b);
+  Alcotest.(check string)
+    "digest of every call and run" "2eb0e172f554258a1819eb5213c568fb"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "sim"
     [
@@ -1641,6 +1826,14 @@ let () =
             test_controller_reads_slots;
           Alcotest.test_case "controller processor limit" `Quick
             test_controller_proc_limit;
+          Alcotest.test_case "a controller raising inside a lock" `Quick
+            test_controller_raises_in_lock;
+          Alcotest.test_case "a controller quitting inside a lock" `Quick
+            test_controller_quits_in_lock;
+          Alcotest.test_case "a controller firing an idle pid" `Quick
+            test_controller_fires_idle_pid;
+          Alcotest.test_case "a random controller's digest" `Quick
+            test_random_controller_digest;
         ] );
       ( "spin",
         [

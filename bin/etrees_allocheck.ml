@@ -24,13 +24,14 @@ let usage =
 
 (* The simulator core's hot roots: the scheduler step loop, the engine
    dispatch ops (and [cells_get], which structures call on every access
-   to a ring slot), the event wheel's per-event functions, the event
+   to a ring slot), the controlled step decided in place, the event wheel's per-event functions, the event
    heap behind it (including the root accessors its refill calls), and
    the memory stamps the scheduler calls per serialized operation.
    Override with --roots. *)
 let default_roots =
   [
     "Scheduler.run";
+    "Scheduler.ctl_perform";
     "Engine_impl.get";
     "Engine_impl.set";
     "Engine_impl.exchange";

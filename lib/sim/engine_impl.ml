@@ -17,36 +17,43 @@ let cells = Memory.cells
 let cells_get = Memory.cells_get
 let cells_length = Memory.cells_length
 
+(* Perform [eff]; under a controller, [Scheduler.ctl_perform] performs
+   it, deciding it in place when it can. *)
+let perform (t : Scheduler.t) eff =
+  match t.controller with
+  | None -> Effect.perform eff
+  | Some _ -> Scheduler.ctl_perform t eff
+
 let get c =
   let t = Scheduler.the_sched () in
   t.op_reads <- t.op_reads + 1;
-  Effect.perform (Scheduler.Get c)
+  perform t (Scheduler.Get c)
 
 let set c x =
   let t = Scheduler.the_sched () in
   t.op_writes <- t.op_writes + 1;
-  Effect.perform (Scheduler.Set (c, x))
+  perform t (Scheduler.Set (c, x))
 
 let exchange c x =
   let t = Scheduler.the_sched () in
   t.op_rmws <- t.op_rmws + 1;
-  Effect.perform (Scheduler.Exchange (c, x))
+  perform t (Scheduler.Exchange (c, x))
 
 let compare_and_set c expected desired =
   let t = Scheduler.the_sched () in
   t.op_rmws <- t.op_rmws + 1;
-  Effect.perform (Scheduler.Cas (c, expected, desired))
+  perform t (Scheduler.Cas (c, expected, desired))
 
 let fetch_and_add c k =
   let t = Scheduler.the_sched () in
   t.op_rmws <- t.op_rmws + 1;
-  Effect.perform (Scheduler.Faa (c, k))
+  perform t (Scheduler.Faa (c, k))
 
 let pid () = (Scheduler.the_sched ()).current
 let nprocs () = (Scheduler.the_sched ()).nprocs
 
-let delay n = if n > 0 then Effect.perform (Scheduler.Delay n)
-let cpu_relax () = Effect.perform (Scheduler.Delay 1)
+let delay n = if n > 0 then perform (Scheduler.the_sched ()) (Scheduler.Delay n)
+let cpu_relax () = perform (Scheduler.the_sched ()) (Scheduler.Delay 1)
 
 (* One effect per wait: its slot stays parked, and the scheduler
    queues it again for each further read and [cpu_relax], counting the

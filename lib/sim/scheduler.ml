@@ -170,8 +170,53 @@
    overflow tier (a read latency of 1,024 cycles or more), which the
    rotation cannot move, and a horizon fewer than two whole periods
    away (three with a tracer).  A dead run with no horizon would spin
-   forever, so it fails instead, naming the cycle.  [inject_loop] does
-   not check, so a run that keeps its injector to the end still spins.
+   forever, so it fails instead, naming the cycle.  A run that keeps
+   its injector to the end cannot skip ahead, since every step is put
+   to the injector, but with no horizon [inject_loop] makes the same
+   check, on its own count of waiters, and fails the same way: an
+   injector only delays or drops processors, and neither can make a
+   predicate hold.
+
+   Deciding in place.  Under a controller ([ctl_loop]), most decisions
+   pick the processor that just ran, and parking it with an effect only
+   to resume it costs a [perform] and a [continue] each time.  So the
+   running processor finishes its step itself ([ctl_perform], which
+   [Engine_impl] calls in place of [Effect.perform]) when three things
+   hold: no other processor has a local step pending ([t.locals] is 0),
+   the step is due by the horizon, and the loop is not unwinding
+   ([t.decide_until] is -1 once it is, after [Quit] or an overrun,
+   since unwinding code performs accesses of its own).  The step is
+   charged first, exactly as [issue] would charge it.  A delay then
+   fires at once; an access becomes the processor's pending access, and
+   the controller is asked now with the runnable set the loop would
+   pass.  On [Fire p] the access commits here, through [apply], as
+   [commit] would; on any other answer the processor parks under the
+   key it already holds, and the loop acts on the held answer without
+   asking again.  This is exactly the loop's run:
+   - With no other local step pending, the loop's next action after
+     the processor parked would be this step: a delay is the only
+     local step [settle] would fire, in a pass of its own, and for an
+     access [settle] fires nothing and the loop calls the controller,
+     with the same clock, memory, runnable set and pending accesses.
+   - Firing a delay in place does what [fire_pending] and [commit] do:
+     the clock moves to its due time, [events_fired] counts it, and at
+     full level it emits [Delay_done].  [Fire p] in place does what
+     [fire_pending] followed by [commit] would do on the same access.
+   - Firing a step changes no other processor's slot, so when the
+     processor goes on, the condition is checked afresh at its next
+     step, as the loop would decide afresh.
+   - An exception the controller raises in place is held until the
+     processor has parked and raised by the loop ([answer]), so no
+     processor code sees it, as when the loop calls the controller.
+     A [Fire q] for a q that is not runnable is held and rejected by
+     the loop in the same way.
+   The loop's slot scans are bitmasks: [t.locals] and [t.accesses]
+   hold the pids with a pending local step and with a pending access,
+   set wherever a controlled slot is queued and cleared wherever one
+   fires or unwinds.  [settle] fires the local steps of a snapshot of
+   [t.locals] in pid order, pass after pass: firing one processor's
+   step changes no other processor's slot, so the snapshot is what the
+   slot-by-slot pass would see.
 
    An operation's side effect executes when its event fires ([commit]),
    not when it is issued: operations therefore linearize in
@@ -213,7 +258,9 @@ type slot =
    fully determines the interleaving — the substrate for the stateless
    model checker in lib/check.  The controller is handed the runnable
    pids as a bitmask and reads each one's access from its slot
-   ([pending_loc], [pending_kind]), so a decision allocates nothing. *)
+   ([pending_loc], [pending_kind]), so a decision allocates nothing.
+   Most decisions are made inside the running processor, without
+   parking it ([ctl_perform], below). *)
 
 type access_kind = Acc_read | Acc_write | Acc_rmw
 
@@ -262,6 +309,19 @@ and t = {
   finish : int array;
   seqs : int array;
   pending : int array; (* controller mode only: when the parked event is due *)
+  (* Controller mode only: the pids with a pending local step and those
+     with a pending access, the latest due time a step may be decided
+     in place (-1 while the loop unwinds), the running processor's
+     access while it is decided in place, and an answer made in place
+     for the loop to act on ([no_answer] if none), with the exception
+     the controller raised instead, if it did. *)
+  mutable locals : int;
+  mutable accesses : int;
+  mutable decide_until : int;
+  mutable in_loc : Memory.loc;
+  mutable in_kind : access_kind;
+  mutable held : choice;
+  mutable raised : exn option;
   mutable clock : int;
   mutable seq : int;
   mutable live : int;
@@ -336,13 +396,37 @@ let mem_kind : type a. a Effect.t -> Etrace.Event.mem_kind = function
   | Set _ -> Etrace.Event.Write
   | _ -> Etrace.Event.Rmw
 
-(* What a controller sees of a parked processor: the location and kind
-   of the access it will commit.  A spinning slot in its pause has
-   none. *)
+let kind_of : type a. a Effect.t -> access_kind = function
+  | Get _ | Spin _ -> Acc_read
+  | Set _ -> Acc_write
+  | _ -> Acc_rmw
+
+(* [t.in_loc] before any access is decided in place. *)
+let no_loc : Memory.loc =
+  {
+    id = -1;
+    busy_until = 0;
+    epoch_time = min_int;
+    epoch_pid = -1;
+    epoch_seq = -1;
+    pend_begins = min_int;
+    pend_finish = min_int;
+    pend_pid = -1;
+    shadow = Obj.repr ();
+  }
+
+(* Is [p] running, its access decided in place ([ctl_perform])?  Only
+   then is its slot [Idle] while it has a pending access. *)
+let deciding t p = t.accesses land (1 lsl p) <> 0
+
+(* What a controller sees of a parked processor, or of the running one
+   deciding in place: the location and kind of the access it will
+   commit.  A spinning slot in its pause has none. *)
 let pending_loc t p =
   match t.slots.(p) with
   | Parked (_, Spin s) when s.pausing -> invalid_arg "Sim: no pending access"
   | Parked (_, eff) -> loc_of eff
+  | Idle when deciding t p -> t.in_loc
   | Idle | Start -> invalid_arg "Sim: no pending access"
 
 let pending_kind t p =
@@ -351,6 +435,7 @@ let pending_kind t p =
   | Parked (_, Set _) -> Acc_write
   | Parked (_, (Exchange _ | Cas _ | Faa _)) -> Acc_rmw
   | Parked (_, Spin s) when not s.pausing -> Acc_read
+  | Idle when deciding t p -> t.in_kind
   | Idle | Start | Parked _ -> invalid_arg "Sim: no pending access"
 
 (* A parked event a controller does not decide: a start or a pause — a
@@ -361,11 +446,15 @@ let is_local = function
   | Idle | Parked _ -> false
 
 (* Queue [p]'s parked event, due at [time], under a fresh seq: into
-   [pending] under a controller, otherwise into the queue. *)
+   [pending] and the mask of its kind under a controller, otherwise
+   into the queue. *)
 let enqueue t p time =
   t.seqs.(p) <- t.seq;
   (match t.controller with
-  | Some _ -> t.pending.(p) <- time
+  | Some _ ->
+      t.pending.(p) <- time;
+      if is_local t.slots.(p) then t.locals <- t.locals lor (1 lsl p)
+      else t.accesses <- t.accesses lor (1 lsl p)
   | None -> Event_wheel.push t.queue ~time ~seq:t.seq p);
   t.seq <- t.seq + 1
 
@@ -429,23 +518,24 @@ let read_due t p (c : _ Memory.cell) =
   access_due t p c.Memory.loc ~base:t.config.read_latency
     ~serialized:t.config.reads_serialize
 
+(* [p] performs [eff] now: charge it, and return when it completes. *)
+let charge (type a) t p (eff : a Effect.t) =
+  let cfg = t.config in
+  match eff with
+  | Delay n -> delay_due t p n
+  | Spin s ->
+      let g = !spin_groups in
+      g.waiting <- g.waiting + 1;
+      if g.waiting = t.live then g.armed <- true;
+      read_due t p s.cell
+  | Get c -> read_due t p c
+  | Set (c, _) ->
+      access_due t p c.Memory.loc ~base:cfg.write_latency ~serialized:true
+  | _ -> access_due t p (loc_of eff) ~base:cfg.rmw_latency ~serialized:true
+
 (* [p] performed [eff] now: charge it and park it until it completes. *)
 let issue (type a) t p (k : (a, unit) continuation) (eff : a Effect.t) =
-  let cfg = t.config in
-  let time =
-    match eff with
-    | Delay n -> delay_due t p n
-    | Spin s ->
-        let g = !spin_groups in
-        g.waiting <- g.waiting + 1;
-        if g.waiting = t.live then g.armed <- true;
-        read_due t p s.cell
-    | Get c -> read_due t p c
-    | Set (c, _) ->
-        access_due t p c.Memory.loc ~base:cfg.write_latency ~serialized:true
-    | _ -> access_due t p (loc_of eff) ~base:cfg.rmw_latency ~serialized:true
-  in
-  park t p time (Parked (k, eff))
+  park t p (charge t p eff) (Parked (k, eff))
 
 let emit_fired (type a) t p (eff : a Effect.t) =
   let issued = t.issued.(p) and fired = t.clock in
@@ -490,21 +580,54 @@ let end_wait t g p =
   t.slots.(p) <- Idle;
   g.waiting <- g.waiting - 1
 
-(* Fire [p]'s parked operation: its memory semantics take effect now,
-   each mutation after the raw-write check of the cell's shadow, and
-   [p] resumes with the result.  A spinning slot stays parked until a
-   read satisfies its predicate: a failed read queues the slot's
-   [cpu_relax], and that pause queues the next read — the events, seqs,
-   counters and tracer calls of the hand-written [get]/[cpu_relax]
-   loop, without running the processor.  Every other slot is cleared
-   before [commit] runs. *)
+(* The memory semantics of [p]'s operation [eff], taking effect now,
+   each mutation after the raw-write check of the cell's shadow: the
+   result [p] goes on with.  A [Spin] is not one operation ([commit]). *)
+let apply (type a) t p (eff : a Effect.t) : a =
+  match eff with
+  | Delay _ -> ()
+  | Get c ->
+      observe_read t p c;
+      c.Memory.v
+  | Set (c, x) ->
+      let clean = Memory.shadow_clean c in
+      c.Memory.v <- x;
+      stamp t p c;
+      observe_commit t p c ~clean
+  | Exchange (c, x) ->
+      let clean = Memory.shadow_clean c in
+      let old = c.Memory.v in
+      c.Memory.v <- x;
+      stamp t p c;
+      observe_commit t p c ~clean;
+      old
+  | Cas (c, expected, desired) ->
+      let clean = Memory.shadow_clean c in
+      let won = c.Memory.v == expected in
+      if won then begin
+        c.Memory.v <- desired;
+        stamp t p c
+      end;
+      observe_commit t p c ~clean;
+      won
+  | Faa (c, d) ->
+      let clean = Memory.shadow_clean c in
+      let old = c.Memory.v in
+      c.Memory.v <- old + d;
+      stamp t p c;
+      observe_commit t p c ~clean;
+      old
+  | _ -> invalid_arg "Sim: not a scheduler effect"
+
+(* Fire [p]'s parked operation: [apply] it, and [p] resumes with the
+   result.  A spinning slot stays parked until a read satisfies its
+   predicate: a failed read queues the slot's [cpu_relax], and that
+   pause queues the next read — the events, seqs, counters and tracer
+   calls of the hand-written [get]/[cpu_relax] loop, without running
+   the processor.  Every other slot is cleared before [commit] runs. *)
 let commit (type a) t p (k : (a, unit) continuation) (eff : a Effect.t) =
   if Etrace.on Etrace.lv_full then emit_fired t p eff;
   match eff with
-  | Delay _ -> continue k ()
-  | Get c ->
-      observe_read t p c;
-      continue k c.Memory.v
   | Spin s ->
       if s.pausing then begin
         s.pausing <- false;
@@ -523,36 +646,7 @@ let commit (type a) t p (k : (a, unit) continuation) (eff : a Effect.t) =
           enqueue t p (delay_due t p 1)
         end
       end
-  | Set (c, x) ->
-      let clean = Memory.shadow_clean c in
-      c.Memory.v <- x;
-      stamp t p c;
-      observe_commit t p c ~clean;
-      continue k ()
-  | Exchange (c, x) ->
-      let clean = Memory.shadow_clean c in
-      let old = c.Memory.v in
-      c.Memory.v <- x;
-      stamp t p c;
-      observe_commit t p c ~clean;
-      continue k old
-  | Cas (c, expected, desired) ->
-      let clean = Memory.shadow_clean c in
-      let won = c.Memory.v == expected in
-      if won then begin
-        c.Memory.v <- desired;
-        stamp t p c
-      end;
-      observe_commit t p c ~clean;
-      continue k won
-  | Faa (c, d) ->
-      let clean = Memory.shadow_clean c in
-      let old = c.Memory.v in
-      c.Memory.v <- old + d;
-      stamp t p c;
-      observe_commit t p c ~clean;
-      continue k old
-  | _ -> invalid_arg "Sim: not a scheduler effect"
+  | _ -> continue k (apply t p eff)
 
 (* A processor of [t] has stopped: if every live one now waits, arm
    the dead-spin check. *)
@@ -560,28 +654,31 @@ let stopped t =
   let g = !spin_groups in
   if g.waiting = t.live then g.armed <- true
 
+(* [p]'s body has returned, or raised [e]. *)
+let finished t p =
+  t.live <- t.live - 1;
+  stopped t;
+  if Etrace.on Etrace.lv_ops then
+    Etrace.emit
+      (Etrace.Event.Proc_end
+         { pid = p; time = t.clock; reason = Etrace.Event.Finished })
+
+let failed t p e =
+  t.live <- t.live - 1;
+  stopped t;
+  match e with
+  | Aborted ->
+      t.aborted <- t.aborted + 1;
+      if Etrace.on Etrace.lv_ops then
+        Etrace.emit
+          (Etrace.Event.Proc_end
+             { pid = p; time = t.clock; reason = Etrace.Event.Aborted })
+  | e -> raise e
+
 let handler t p =
   {
-    retc =
-      (fun () ->
-        t.live <- t.live - 1;
-        stopped t;
-        if Etrace.on Etrace.lv_ops then
-          Etrace.emit
-            (Etrace.Event.Proc_end
-               { pid = p; time = t.clock; reason = Etrace.Event.Finished }));
-    exnc =
-      (fun e ->
-        t.live <- t.live - 1;
-        stopped t;
-        match e with
-        | Aborted ->
-            t.aborted <- t.aborted + 1;
-            if Etrace.on Etrace.lv_ops then
-              Etrace.emit
-                (Etrace.Event.Proc_end
-                   { pid = p; time = t.clock; reason = Etrace.Event.Aborted })
-        | e -> raise e);
+    retc = (fun () -> finished t p);
+    exnc = (fun e -> failed t p e);
     effc =
       (fun (type b) (eff : b Effect.t) ->
         match eff with
@@ -590,12 +687,91 @@ let handler t p =
         | _ -> None);
   }
 
+(* Under a controller, [ctl_perform] has charged every effect but a
+   [Spin] before performing it: parking one fills the slot. *)
+let ctl_handler t p =
+  {
+    retc = (fun () -> finished t p);
+    exnc = (fun e -> failed t p e);
+    effc =
+      (fun (type b) (eff : b Effect.t) ->
+        match eff with
+        | Spin _ -> Some (fun (k : (b, _) continuation) -> issue t p k eff)
+        | Get _ | Set _ | Exchange _ | Cas _ | Faa _ | Delay _ ->
+            Some
+              (fun (k : (b, _) continuation) -> t.slots.(p) <- Parked (k, eff))
+        | _ -> None);
+  }
+
 (* Start [p], whose slot is [Start], at the current clock. *)
 let start t p =
   t.slots.(p) <- Idle;
   if Etrace.on Etrace.lv_ops then
     Etrace.emit (Etrace.Event.Proc_start { pid = p; time = t.clock });
-  match_with t.body p (handler t p)
+  match t.controller with
+  | None -> match_with t.body p (handler t p)
+  | Some _ -> match_with t.body p (ctl_handler t p)
+
+(* Controller calls made in place, summed over this process's runs:
+   for tests and probes. *)
+let in_place = ref 0
+let in_place_decisions () = !in_place
+
+(* [t.held] when no answer is held, told apart by physical equality. *)
+let no_answer = Fire (-1)
+
+(* Controlled scheduling, in place.  The running processor [p] performs
+   [eff], an access or a delay, under a controller: charge it as
+   [issue] would, then, unless another processor has a local step
+   pending or the step is due past [t.decide_until], finish it here
+   (see the header).  A delay fires at once.  For an access the
+   controller is asked now, with [p]'s access pending, and on [Fire p]
+   it commits here.  Any other answer is held for the loop, and [p]
+   parks, as it does when the step is not decided here. *)
+let ctl_perform (type a) t (eff : a Effect.t) : a =
+  let p = t.current in
+  let time = charge t p eff in
+  t.seqs.(p) <- t.seq;
+  t.pending.(p) <- time;
+  t.seq <- t.seq + 1;
+  let bit = 1 lsl p in
+  if t.locals <> 0 || time > t.decide_until then begin
+    (match eff with
+    | Delay _ -> t.locals <- t.locals lor bit
+    | _ -> t.accesses <- t.accesses lor bit);
+    Effect.perform eff
+  end
+  else
+    match eff with
+    | Delay _ ->
+        if time > t.clock then t.clock <- time;
+        t.events_fired <- t.events_fired + 1;
+        if Etrace.on Etrace.lv_full then emit_fired t p eff
+    | _ -> (
+        t.in_loc <- loc_of eff;
+        t.in_kind <- kind_of eff;
+        t.accesses <- t.accesses lor bit;
+        incr in_place;
+        let answer =
+          match t.controller with
+          | Some choose -> (
+              match choose t t.accesses with
+              | c -> c
+              | exception e ->
+                  t.raised <- Some e;
+                  Quit)
+          | None -> invalid_arg "Sim: no controller"
+        in
+        match answer with
+        | Fire q when q = p ->
+            t.accesses <- t.accesses land lnot bit;
+            if time > t.clock then t.clock <- time;
+            t.events_fired <- t.events_fired + 1;
+            if Etrace.on Etrace.lv_full then emit_fired t p eff;
+            apply t p eff
+        | c ->
+            t.held <- c;
+            Effect.perform eff)
 
 let no_event () = invalid_arg "Sim: fired a processor with no pending event"
 
@@ -956,6 +1132,10 @@ let leave t time p =
    steps pending then, and [run] goes on without the injector. *)
 let rec inject_loop t inj ~horizon ~gate ~quiet =
   let q = t.queue in
+  if horizon = max_int then begin
+    let g = !spin_groups in
+    if g.armed && Event_wheel.head q < 0 then dead_check t g ~horizon
+  end;
   let p = Event_wheel.pop_due q ~horizon in
   if p >= 0 then begin
     let time = Event_wheel.cursor q in
@@ -986,9 +1166,12 @@ and inject_fire t inj ~horizon ~gate ~quiet time p =
       t.seq <- t.seq + 1;
       inject_loop t inj ~horizon ~gate ~quiet
   | Fault_drop ->
-      t.slots.(p) <- Idle;
+      (match t.slots.(p) with
+      | Parked (_, Spin _) -> end_wait t !spin_groups p
+      | _ -> t.slots.(p) <- Idle);
       t.clock <- time;
       t.live <- t.live - 1;
+      stopped t;
       t.crashed <- t.crashed + 1;
       if Etrace.on Etrace.lv_ops then begin
         Etrace.emit (Etrace.Event.Fault_crash { pid = p; time });
@@ -999,6 +1182,99 @@ and inject_fire t inj ~horizon ~gate ~quiet time p =
       (* A check that failed is made again at the next event. *)
       let gate = if quiet || time < inj.quiet_from then gate else time in
       inject_loop t inj ~horizon ~gate ~quiet
+
+(* The step loop under a controller: the controller, not the clock,
+   decides firing order.  Local steps are not scheduling decisions and
+   fire eagerly, in pid-order passes; once every live processor is
+   parked on a shared-memory access, the controller picks the one that
+   commits next, unless a processor has made that decision in place
+   ([t.held]).  [Quit], or a step due past the horizon, unwinds every
+   parked processor.  The pid bitmasks [t.locals] and [t.accesses] stand
+   for the slots: every controlled slot queued ([enqueue],
+   [ctl_perform]) sets its bit, and every one fired or aborted clears
+   it first. *)
+
+(* Fire [p]'s pending step, or unwind it if it is due past the
+   horizon; from then on, the loop unwinds. *)
+let fire_pending t p =
+  let bit = lnot (1 lsl p) in
+  t.locals <- t.locals land bit;
+  t.accesses <- t.accesses land bit;
+  let time = t.pending.(p) in
+  if time > t.decide_until then begin
+    t.decide_until <- -1;
+    abort t p
+  end
+  else begin
+    if time > t.clock then t.clock <- time;
+    t.events_fired <- t.events_fired + 1;
+    fire t p
+  end
+
+(* Fire the steps of the pids in [m], [p] and up, in pid order, until
+   one is due past the horizon.  Firing a step changes no other
+   processor's slot, so [m] stands for the slots as the pass reaches
+   them. *)
+let rec settle_pass t m p =
+  if m <> 0 && t.decide_until >= 0 then begin
+    if m land 1 <> 0 then fire_pending t p;
+    settle_pass t (m lsr 1) (p + 1)
+  end
+
+let rec settle t =
+  if t.locals <> 0 && t.decide_until >= 0 then begin
+    settle_pass t t.locals 0;
+    settle t
+  end
+
+(* Unwind the pids in [m], [p] and up, in pid order. *)
+let rec abort_pass t m p =
+  if m <> 0 then begin
+    if m land 1 <> 0 then begin
+      let bit = lnot (1 lsl p) in
+      t.locals <- t.locals land bit;
+      t.accesses <- t.accesses land bit;
+      abort t p
+    end;
+    abort_pass t (m lsr 1) (p + 1)
+  end
+
+(* Unwinding a processor can park (then require unwinding) new events,
+   so iterate to a fixpoint. *)
+let rec drain t =
+  t.decide_until <- -1;
+  let m = t.locals lor t.accesses in
+  if m <> 0 then begin
+    abort_pass t m 0;
+    drain t
+  end
+
+(* The answer for the loop: the one held, or the controller's now.  A
+   held exception is raised here, outside every processor. *)
+let answer t choose =
+  let c = t.held in
+  if c == no_answer then choose t t.accesses
+  else begin
+    t.held <- no_answer;
+    match t.raised with
+    | Some e ->
+        t.raised <- None;
+        raise e
+    | None -> c
+  end
+
+let rec ctl_loop t choose =
+  settle t;
+  if t.decide_until < 0 then drain t
+  else if t.accesses <> 0 then
+    (* After [settle], every parked processor awaits an access. *)
+    match answer t choose with
+    | Quit -> drain t
+    | Fire p ->
+        if p < 0 || p >= t.nprocs || t.accesses land (1 lsl p) = 0 then
+          invalid_arg "Sim controller: chose a processor with no pending access";
+        fire_pending t p;
+        ctl_loop t choose
 
 (* Process-cumulative counters across every completed [run] — the
    deterministic odometer the benchmark meta probe (Report.Meta) reads
@@ -1022,6 +1298,7 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
   (* A controller gets the runnable pids as an int bitmask. *)
   if Option.is_some controller && procs > 62 then
     invalid_arg "Sim.run: a controller schedules at most 62 processors";
+  let horizon = match abort_after with Some h -> h | None -> max_int in
   let base = Engine.Splitmix.of_int seed in
   let per_pid () = Array.make procs 0 in
   let t =
@@ -1042,6 +1319,13 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
       finish = per_pid ();
       seqs = per_pid ();
       pending = per_pid ();
+      locals = 0;
+      accesses = 0;
+      decide_until = horizon;
+      in_loc = no_loc;
+      in_kind = Acc_read;
+      held = no_answer;
+      raised = None;
       clock = 0;
       seq = 0;
       live = procs;
@@ -1065,75 +1349,12 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
   for p = 0 to procs - 1 do
     park t p 0 Start
   done;
-  let horizon = match abort_after with Some h -> h | None -> max_int in
-  (* Controlled mode: the controller, not the clock, decides firing
-     order.  Local steps are not scheduling decisions and fire eagerly
-     in pid order; once every live processor is parked on a
-     shared-memory access, the controller picks the one that commits
-     next.  [Quit] (or the horizon) unwinds every parked processor. *)
-  let ctl_loop choose =
-    let overran = ref false in
-    let fire_pending p =
-      let time = t.pending.(p) in
-      if time > horizon then begin
-        overran := true;
-        abort t p
-      end
-      else begin
-        if time > t.clock then t.clock <- time;
-        t.events_fired <- t.events_fired + 1;
-        fire t p
-      end
-    in
-    let rec settle () =
-      let progressed = ref false in
-      for p = 0 to t.nprocs - 1 do
-        if (not !overran) && is_local t.slots.(p) then begin
-          progressed := true;
-          fire_pending p
-        end
-      done;
-      if !progressed then settle ()
-    in
-    let rec drain () =
-      (* Unwinding a processor can park (then require unwinding) new
-         events, so iterate to a fixpoint. *)
-      let any = ref false in
-      for p = 0 to t.nprocs - 1 do
-        if t.slots.(p) != Idle then begin
-          any := true;
-          abort t p
-        end
-      done;
-      if !any then drain ()
-    in
-    let rec step () =
-      settle ();
-      if !overran then drain ()
-      else begin
-        (* After [settle], every parked processor awaits an access. *)
-        let runnable = ref 0 in
-        for p = 0 to t.nprocs - 1 do
-          if t.slots.(p) != Idle then runnable := !runnable lor (1 lsl p)
-        done;
-        if !runnable <> 0 then
-          match choose t !runnable with
-          | Quit -> drain ()
-          | Fire p ->
-              if p < 0 || p >= t.nprocs || !runnable land (1 lsl p) = 0 then
-                invalid_arg
-                  "Sim controller: chose a processor with no pending access";
-              fire_pending p;
-              step ()
-      end
-    in
-    step ()
-  in
   let enclosing = !spin_groups in
-  spin_groups := no_groups;
+  (* Each run counts its own waiters; [group_loop] brings its groups. *)
+  spin_groups := { no_groups with waiting = 0; armed = false };
   (match
      match controller with
-     | Some c -> ctl_loop c
+     | Some c -> ctl_loop t c
      | None -> (
          (match t.injector with
          | Some inj ->

@@ -141,11 +141,19 @@ val no_injector : injector
 
 type controller = t -> int -> choice
 (** [choose t runnable] is called with the running scheduler and the
-    runnable processors as a bitmask (bit [p] set iff processor [p] is
-    parked on a shared-memory access), never [0]; {!pending_loc} and
-    {!pending_kind} read each one's access.  Must be a pure host-level
-    function: it runs outside any processor and may not perform engine
-    effects.  The bitmask limits controlled runs to 62 processors. *)
+    runnable processors as a bitmask (bit [p] set iff processor [p] has
+    a pending shared-memory access), never [0]; {!pending_loc} and
+    {!pending_kind} read each one's access.  It is called once every
+    other live processor is parked on an access: from the step loop, or
+    from inside the processor that has just issued its access, which
+    then counts as runnable and goes on at once if the controller fires
+    it ({!ctl_perform}).  Either way the call sees the same state and
+    its answer has the same effect.  It must be a pure host-level
+    function and may not perform engine effects.  It may raise: the
+    exception leaves {!run} from the step loop, after the calling
+    processor has parked, so no processor code sees it, and the
+    controller is not called again.  The bitmask limits controlled runs
+    to 62 processors. *)
 
 and t = {
   nprocs : int;
@@ -165,6 +173,25 @@ and t = {
   seqs : int array;  (** per-pid: its seq, the commit's epoch stamp *)
   pending : int array;
       (** controller mode only: per-pid time the parked event is due *)
+  mutable locals : int;
+      (** controller mode only: the pids with a pending local step (a
+          start, a delay or a spinner's pause), as a bitmask *)
+  mutable accesses : int;
+      (** controller mode only: the pids with a pending access, parked
+          or decided in place, as a bitmask *)
+  mutable decide_until : int;
+      (** controller mode only: the horizon, the latest due time a step
+          may fire at or be decided at; [-1] once the loop unwinds *)
+  mutable in_loc : Memory.loc;
+      (** controller mode only: the access of the processor deciding in
+          place *)
+  mutable in_kind : access_kind;
+  mutable held : choice;
+      (** controller mode only: an answer made in place for the loop to
+          act on next *)
+  mutable raised : exn option;
+      (** controller mode only: the exception a controller raised in
+          place, for the loop to raise *)
   mutable clock : int;
   mutable seq : int;
   mutable live : int;
@@ -208,6 +235,22 @@ val pending_loc : t -> int -> Memory.loc
 val pending_kind : t -> int -> access_kind
 (** The kind of processor [p]'s parked access; raises like
     {!pending_loc}. *)
+
+val ctl_perform : t -> 'a Effect.t -> 'a
+(** [ctl_perform t eff]: under a controller, the running processor
+    performs [eff], an access or a [Delay] ([Engine_impl] calls it in
+    place of [Effect.perform]; a [Spin] is performed as always).  It is
+    charged as the step loop charges it, then, when no other processor
+    has a local step pending and the step is due by
+    [t.decide_until], finished here: a delay fires at once, and for an
+    access the controller is asked now, and [Fire] of this processor
+    commits it.  Otherwise, or on any other answer, which the step loop
+    then acts on without asking again, the processor parks. *)
+
+val in_place_decisions : unit -> int
+(** The controller calls {!ctl_perform} made from inside a running
+    processor, summed over this process's runs.  Tests and probes read
+    it around a run. *)
 
 val park : t -> int -> int -> slot -> unit
 (** [park t p time op] makes [op] processor [p]'s pending event, due at

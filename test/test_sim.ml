@@ -1265,19 +1265,44 @@ let test_dead_fast_forward =
 (* A run with no horizon whose processors all wait on predicates no
    processor can satisfy would spin forever; it fails instead, naming
    the cycle from which no wait can end.  Two processors or one wait on
-   a flag nobody sets, or two under serialized reads.  In a fourth run,
-   under serialized reads, processor 2 raises the flag to 1 and stops;
-   the waits of 0 and 1 for it end at 38 and 32, each then waits for 5,
-   and from 38 no wait can end. *)
+   a flag nobody sets, or two under serialized reads, or two under an
+   injector the run keeps to its end.  In another run, under serialized
+   reads, processor 2 raises the flag to 1 and stops; the waits of 0
+   and 1 for it end at 38 and 32, each then waits for 5, and from 38 no
+   wait can end. *)
 let test_dead_without_horizon () =
-  let dead ~config ~procs body =
-    match Sim.run ~config ~procs body with
+  let dead ?injector ~config ~procs body =
+    match Sim.run ?injector ~config ~procs body with
     | _ -> Alcotest.fail "a dead run with no horizon returned"
     | exception Failure msg -> msg
   in
-  let never ~config ~procs =
+  let never ?injector ~config ~procs () =
     let flag = E.cell false in
-    dead ~config ~procs (fun _ -> ignore (E.spin_until flag Fun.id))
+    dead ?injector ~config ~procs (fun _ -> ignore (E.spin_until flag Fun.id))
+  in
+  let kept =
+    {
+      Sim.Scheduler.no_injector with
+      on_event = (fun ~pid:_ ~time:_ -> Sim.Scheduler.Fault_proceed);
+    }
+  in
+  (* Processor 2 waits from 0 and crashes at its first step from 20 on;
+     processor 1 starts its wait at 50, and only then are all the live
+     processors waiting. *)
+  let crashed () =
+    let a = E.cell false and b = E.cell false in
+    let injector =
+      {
+        kept with
+        on_event =
+          (fun ~pid ~time ->
+            if pid = 2 && time >= 20 then Sim.Scheduler.Fault_drop
+            else Sim.Scheduler.Fault_proceed);
+      }
+    in
+    dead ~injector ~config:M.default_config ~procs:3 (fun p ->
+        if p = 1 then E.delay 50;
+        ignore (E.spin_until (if p = 2 then a else b) Fun.id))
   in
   let again () =
     let flag = E.cell 0 in
@@ -1303,13 +1328,19 @@ let test_dead_without_horizon () =
     [
       ( "two processors",
         message ~cycle:0 ~live:2,
-        fun () -> never ~config:M.default_config ~procs:2 );
+        fun () -> never ~config:M.default_config ~procs:2 () );
       ( "one processor",
         message ~cycle:0 ~live:1,
-        fun () -> never ~config:M.default_config ~procs:1 );
+        fun () -> never ~config:M.default_config ~procs:1 () );
       ( "two processors, serialized reads",
         message ~cycle:0 ~live:2,
-        fun () -> never ~config:M.serialized_reads_config ~procs:2 );
+        fun () -> never ~config:M.serialized_reads_config ~procs:2 () );
+      ( "two processors, under an injector kept to the end",
+        message ~cycle:0 ~live:2,
+        fun () -> never ~injector:kept ~config:M.default_config ~procs:2 () );
+      ( "a waiter crashed under an injector kept to the end",
+        message ~cycle:50 ~live:2,
+        crashed );
       ( "waits that end and start again, serialized reads",
         message ~cycle:38 ~live:2,
         again );
@@ -1766,6 +1797,21 @@ let test_random_controller_digest () =
     "digest of every call and run" "2eb0e172f554258a1819eb5213c568fb"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* Most of a DPOR search's decisions pick the processor that just ran,
+   and are made inside it.  Over counter_mixed at 2 processors, the
+   controller calls made in place outnumber half of all the events the
+   search fires, and every decision is an event or a [Quit]. *)
+let test_decisions_in_place () =
+  let prog = Check.Scenario.counter_mixed.make ~procs:2 ~width:2 ~ops:1 in
+  let asked = Sim.Scheduler.in_place_decisions ()
+  and events = (Sim.totals ()).t_events in
+  let o = Check.Explore.explore prog in
+  let asked = Sim.Scheduler.in_place_decisions () - asked
+  and events = (Sim.totals ()).t_events - events in
+  Printf.printf "%d executions: %d of %d events decided in place\n" o.runs
+    asked events;
+  check_bool "most decisions are made in place" true (2 * asked > events)
+
 let () =
   Alcotest.run "sim"
     [
@@ -1834,6 +1880,8 @@ let () =
             test_controller_fires_idle_pid;
           Alcotest.test_case "a random controller's digest" `Quick
             test_random_controller_digest;
+          Alcotest.test_case "most decisions are made in place" `Quick
+            test_decisions_in_place;
         ] );
       ( "spin",
         [

@@ -726,7 +726,43 @@ let check_cmd =
             Printf.eprintf "check: malformed schedule %S\n" s;
             exit 2
         in
+        (* [Ex.replay] stands in the lowest enabled pid for a step it
+           cannot replay (the minimizer relies on that); asked for one
+           schedule, the CLI fails on the first such step instead. *)
+        let no_replay step fmt =
+          Printf.ksprintf
+            (fun why ->
+              Printf.eprintf "check: --schedule does not replay from step %d: %s\n"
+                step why;
+              exit 2)
+            fmt
+        in
+        if String.trim s <> "" then
+          ignore
+            (List.fold_left
+               (fun step seg ->
+                 let a = Ex.parse_schedule seg in
+                 if Array.length a = 0 then
+                   no_replay step "segment %S is empty" (String.trim seg);
+                 Array.iteri
+                   (fun i p ->
+                     if p < 0 || p >= procs then
+                       no_replay (step + i) "p%d is not below --procs %d" p
+                         procs)
+                   a;
+                 step + Array.length a)
+               1
+               (String.split_on_char ',' s));
         let r = traced_replay sched in
+        Array.iteri
+          (fun i p ->
+            if i >= Array.length r.schedule then
+              no_replay (i + 1) "it names p%d, the run ended after %d steps" p
+                (Array.length r.schedule)
+            else if r.schedule.(i) <> p then
+              no_replay (i + 1) "it names p%d, the run fired p%d" p
+                r.schedule.(i))
+          sched;
         Printf.printf "replayed %d steps: %s\n"
           (Array.length r.schedule)
           (Ex.format_schedule r.schedule);

@@ -100,27 +100,27 @@ let slice_per_op = 400
 let schedule_of_ops nops =
   Array.concat (List.init nops (fun pid -> Array.make slice_per_op pid))
 
+(* That sequential execution, through the tree_buggy scenario (its
+   processors all send tokens). *)
+let sequential_replay ~width nops =
+  let program = Scenario.tree_buggy.make ~procs:nops ~width ~ops:1 in
+  Explore.replay ~seed:1 program (schedule_of_ops nops)
+
+(* The command names the schedule the sequential replay executed, which
+   `etrees_run check --schedule` replays step for step. *)
 let replay_command ~width (cex : Certify.counterexample) =
   let nops = List.length cex.ops in
   Printf.sprintf
     "etrees_run check --method tree_buggy --procs %d --width %d --ops 1 \
      --seed 1 --schedule %s --expect-violation step-property"
     nops width
-    (Explore.format_schedule (schedule_of_ops nops))
+    (Explore.format_schedule (sequential_replay ~width nops).schedule)
 
-(* Token-only counterexamples replay through the tree_buggy scenario
-   (its processors all send tokens).  Returns the violation the replay
-   produced, if any. *)
+(* Token-only counterexamples replay through the tree_buggy scenario.
+   Returns the violation the replay produced, if any. *)
 let confirm_replay ~width (cex : Certify.counterexample) =
   if List.exists (fun (k, _) -> k <> Certify.Op_token) cex.ops then None
-  else begin
-    match Scenario.find "tree_buggy" with
-    | None -> None
-    | Some scenario ->
-        let nops = List.length cex.ops in
-        let program = scenario.make ~procs:nops ~width ~ops:1 in
-        let run = Explore.replay ~seed:1 program (schedule_of_ops nops) in
-        List.find_opt
-          (fun (v : Monitor.violation) -> v.property = "step-property")
-          run.violations
-  end
+  else
+    List.find_opt
+      (fun (v : Monitor.violation) -> v.property = "step-property")
+      (sequential_replay ~width (List.length cex.ops)).violations

@@ -22,7 +22,9 @@ val seeded_defect : unit -> Netverify.Ir.network
 
 val replay_command : width:int -> Netverify.Certify.counterexample -> string
 (** The `etrees_run check` invocation that replays a static
-    counterexample through the model checker's schedule machinery. *)
+    counterexample through the model checker's schedule machinery.  It
+    names the schedule the sequential replay of {!confirm_replay}
+    executed, so [check --schedule] replays it step for step. *)
 
 val confirm_replay :
   width:int -> Netverify.Certify.counterexample -> Monitor.violation option

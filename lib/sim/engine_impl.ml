@@ -18,8 +18,9 @@ let cells_get = Memory.cells_get
 let cells_length = Memory.cells_length
 
 (* Perform [eff]; under a controller, [Scheduler.ctl_perform] performs
-   it, deciding it in place when it can. *)
-let perform (t : Scheduler.t) eff =
+   it, deciding it in place when it can.  Inlined, so an uncontrolled
+   op pays one test of [t.controller]. *)
+let[@inline] perform (t : Scheduler.t) eff =
   match t.controller with
   | None -> Effect.perform eff
   | Some _ -> Scheduler.ctl_perform t eff

@@ -309,6 +309,18 @@ and t = {
   finish : int array;
   seqs : int array;
   pending : int array; (* controller mode only: when the parked event is due *)
+  mutable clock : int;
+  mutable seq : int;
+  mutable live : int;
+  mutable current : int;
+  mutable events_fired : int;
+  mutable aborted : int;
+  mutable crashed : int;
+  mutable fault_defers : int;
+  mutable op_reads : int;  (* engine-level operation counters *)
+  mutable op_writes : int;
+  mutable op_rmws : int;
+  mutable queue_wait : int; (* cycles serialized ops spent queueing *)
   (* Controller mode only: the pids with a pending local step and those
      with a pending access, the latest due time a step may be decided
      in place (-1 while the loop unwinds), the running processor's
@@ -322,18 +334,6 @@ and t = {
   mutable in_kind : access_kind;
   mutable held : choice;
   mutable raised : exn option;
-  mutable clock : int;
-  mutable seq : int;
-  mutable live : int;
-  mutable current : int;
-  mutable events_fired : int;
-  mutable aborted : int;
-  mutable crashed : int;
-  mutable fault_defers : int;
-  mutable op_reads : int;  (* engine-level operation counters *)
-  mutable op_writes : int;
-  mutable op_rmws : int;
-  mutable queue_wait : int; (* cycles serialized ops spent queueing *)
 }
 
 type stats = {
@@ -518,8 +518,10 @@ let read_due t p (c : _ Memory.cell) =
   access_due t p c.Memory.loc ~base:t.config.read_latency
     ~serialized:t.config.reads_serialize
 
-(* [p] performs [eff] now: charge it, and return when it completes. *)
-let charge (type a) t p (eff : a Effect.t) =
+(* [p] performs [eff] now: charge it, and return when it completes.
+   Inlined, so [issue] costs what it did before [ctl_perform] shared
+   it. *)
+let[@inline] charge (type a) t p (eff : a Effect.t) =
   let cfg = t.config in
   match eff with
   | Delay n -> delay_due t p n
@@ -582,8 +584,9 @@ let end_wait t g p =
 
 (* The memory semantics of [p]'s operation [eff], taking effect now,
    each mutation after the raw-write check of the cell's shadow: the
-   result [p] goes on with.  A [Spin] is not one operation ([commit]). *)
-let apply (type a) t p (eff : a Effect.t) : a =
+   result [p] goes on with.  A [Spin] is not one operation ([commit]).
+   Inlined into [commit] and [ctl_perform]. *)
+let[@inline] apply (type a) t p (eff : a Effect.t) : a =
   match eff with
   | Delay _ -> ()
   | Get c ->
@@ -1319,13 +1322,6 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
       finish = per_pid ();
       seqs = per_pid ();
       pending = per_pid ();
-      locals = 0;
-      accesses = 0;
-      decide_until = horizon;
-      in_loc = no_loc;
-      in_kind = Acc_read;
-      held = no_answer;
-      raised = None;
       clock = 0;
       seq = 0;
       live = procs;
@@ -1338,6 +1334,13 @@ let run ?(seed = 0x5eed) ?(config = Memory.default_config) ?abort_after
       op_writes = 0;
       op_rmws = 0;
       queue_wait = 0;
+      locals = 0;
+      accesses = 0;
+      decide_until = horizon;
+      in_loc = no_loc;
+      in_kind = Acc_read;
+      held = no_answer;
+      raised = None;
     }
   in
   let prev = !active in

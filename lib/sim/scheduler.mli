@@ -83,7 +83,9 @@ type slot =
     on a shared-memory access the controller picks which one commits
     next.  Each decision commits exactly one access, so the chosen pid
     sequence fully determines the interleaving — runs are replayable
-    from the pid sequence alone. *)
+    from the pid sequence alone.  When nothing else is pending, the
+    processor that has just issued a step finishes it without parking
+    ({!ctl_perform}); the run is the same. *)
 
 type access_kind = Acc_read | Acc_write | Acc_rmw
 
@@ -173,6 +175,20 @@ and t = {
   seqs : int array;  (** per-pid: its seq, the commit's epoch stamp *)
   pending : int array;
       (** controller mode only: per-pid time the parked event is due *)
+  mutable clock : int;
+  mutable seq : int;
+  mutable live : int;
+  mutable current : int; (** pid of the processor now executing *)
+  mutable events_fired : int;
+  mutable aborted : int;
+  mutable crashed : int;      (** processors crash-stopped by the injector *)
+  mutable fault_defers : int; (** events postponed by stalls *)
+  mutable op_reads : int;  (** engine-level operation counters *)
+  mutable op_writes : int;
+  mutable op_rmws : int;
+  mutable queue_wait : int;
+      (** cycles serialized operations spent queueing behind busy
+          locations — the simulator's aggregate hot-spot cost *)
   mutable locals : int;
       (** controller mode only: the pids with a pending local step (a
           start, a delay or a spinner's pause), as a bitmask *)
@@ -192,20 +208,6 @@ and t = {
   mutable raised : exn option;
       (** controller mode only: the exception a controller raised in
           place, for the loop to raise *)
-  mutable clock : int;
-  mutable seq : int;
-  mutable live : int;
-  mutable current : int; (** pid of the processor now executing *)
-  mutable events_fired : int;
-  mutable aborted : int;
-  mutable crashed : int;      (** processors crash-stopped by the injector *)
-  mutable fault_defers : int; (** events postponed by stalls *)
-  mutable op_reads : int;  (** engine-level operation counters *)
-  mutable op_writes : int;
-  mutable op_rmws : int;
-  mutable queue_wait : int;
-      (** cycles serialized operations spent queueing behind busy
-          locations — the simulator's aggregate hot-spot cost *)
 }
 
 type stats = {
@@ -297,5 +299,6 @@ val run :
     reads, with full-level tracing on, or when a read's latency is
     1,024 cycles or more.  With no [abort_after] the run raises
     [Failure], naming the cycle from which no wait could end.  A run
-    that keeps its injector to the end makes no check, and spins
-    forever in that state. *)
+    that keeps its injector to the end makes the check only with no
+    [abort_after], and then fails the same way; with one, it steps to
+    the horizon. *)

@@ -73,5 +73,5 @@ let run = Scheduler.run
     skips ahead to the horizon, unless reads serialize, and reports
     what stepping would have (the stats, the race detector's reads, the
     unwinding order).  Without it, [run] raises [Failure] naming the
-    cycle.  A run that keeps an injector to the end still spins forever
-    in that state (Scheduler.run). *)
+    cycle, and so does a run that keeps an injector to the end; with
+    [abort_after], such a run steps to the horizon (Scheduler.run). *)

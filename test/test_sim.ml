@@ -1710,12 +1710,17 @@ let test_controller_quits_in_lock () =
     (List.sort compare handlers)
 
 (* [Fire q] for a q that is not runnable, a finished processor or one
-   out of range, raises [Invalid_argument] from [Sim.run]. *)
+   out of range, raises [Invalid_argument] from [Sim.run].  Processor
+   1 finishes at once; the first call fires processor 0's first write,
+   and the second, about its second write, answers [Fire q]. *)
 let test_controller_fires_idle_pid () =
   List.iter
     (fun q ->
-      let c = E.cell 0 in
-      let controller _ _ = Sim.Scheduler.Fire q in
+      let c = E.cell 0 and calls = ref 0 in
+      let controller _ _ =
+        incr calls;
+        Sim.Scheduler.Fire (if !calls = 1 then 0 else q)
+      in
       match
         Sim.run ~controller ~procs:2 (fun p ->
             if p = 0 then begin
@@ -1724,7 +1729,9 @@ let test_controller_fires_idle_pid () =
             end)
       with
       | _ -> Alcotest.failf "Fire %d was accepted" q
-      | exception Invalid_argument _ -> ())
+      | exception Invalid_argument _ ->
+          check_int "the second call raised" 2 !calls;
+          check_int "after the first write" 1 c.M.v)
     [ 1; 2; -1 ]
 
 (* A seeded random controller over four checker scenarios, quitting at

@@ -18,8 +18,8 @@ let cells_get = Memory.cells_get
 let cells_length = Memory.cells_length
 
 (* Perform [eff]; under a controller, [Scheduler.ctl_perform] performs
-   it, deciding it in place when it can.  Inlined, so an uncontrolled
-   op pays one test of [t.controller]. *)
+   it, deciding it in place when it can.  Inlined: an uncontrolled op
+   pays one test of [t.controller]. *)
 let[@inline] perform (t : Scheduler.t) eff =
   match t.controller with
   | None -> Effect.perform eff

@@ -396,10 +396,11 @@ let mem_kind : type a. a Effect.t -> Etrace.Event.mem_kind = function
   | Set _ -> Etrace.Event.Write
   | _ -> Etrace.Event.Rmw
 
-let kind_of : type a. a Effect.t -> access_kind = function
+let[@inline] kind_of : type a. a Effect.t -> access_kind = function
   | Get _ | Spin _ -> Acc_read
   | Set _ -> Acc_write
-  | _ -> Acc_rmw
+  | Exchange _ | Cas _ | Faa _ -> Acc_rmw
+  | _ -> invalid_arg "Sim: no pending access"
 
 (* [t.in_loc] before any access is decided in place. *)
 let no_loc : Memory.loc =
@@ -431,12 +432,10 @@ let pending_loc t p =
 
 let pending_kind t p =
   match t.slots.(p) with
-  | Parked (_, Get _) -> Acc_read
-  | Parked (_, Set _) -> Acc_write
-  | Parked (_, (Exchange _ | Cas _ | Faa _)) -> Acc_rmw
-  | Parked (_, Spin s) when not s.pausing -> Acc_read
+  | Parked (_, Spin s) when s.pausing -> invalid_arg "Sim: no pending access"
+  | Parked (_, eff) -> kind_of eff
   | Idle when deciding t p -> t.in_kind
-  | Idle | Start | Parked _ -> invalid_arg "Sim: no pending access"
+  | Idle | Start -> invalid_arg "Sim: no pending access"
 
 (* A parked event a controller does not decide: a start or a pause — a
    delay, or a spinning slot's [cpu_relax]. *)
@@ -519,8 +518,7 @@ let read_due t p (c : _ Memory.cell) =
     ~serialized:t.config.reads_serialize
 
 (* [p] performs [eff] now: charge it, and return when it completes.
-   Inlined, so [issue] costs what it did before [ctl_perform] shared
-   it. *)
+   Inlined: [issue] runs on every uncontrolled step. *)
 let[@inline] charge (type a) t p (eff : a Effect.t) =
   let cfg = t.config in
   match eff with
@@ -585,7 +583,7 @@ let end_wait t g p =
 (* The memory semantics of [p]'s operation [eff], taking effect now,
    each mutation after the raw-write check of the cell's shadow: the
    result [p] goes on with.  A [Spin] is not one operation ([commit]).
-   Inlined into [commit] and [ctl_perform]. *)
+   Inlined: [commit] runs on every step. *)
 let[@inline] apply (type a) t p (eff : a Effect.t) : a =
   match eff with
   | Delay _ -> ()
@@ -1197,12 +1195,16 @@ and inject_fire t inj ~horizon ~gate ~quiet time p =
    [ctl_perform]) sets its bit, and every one fired or aborted clears
    it first. *)
 
+(* [p]'s pending step leaves the masks: it fires or unwinds now. *)
+let unmark t p =
+  let bit = lnot (1 lsl p) in
+  t.locals <- t.locals land bit;
+  t.accesses <- t.accesses land bit
+
 (* Fire [p]'s pending step, or unwind it if it is due past the
    horizon; from then on, the loop unwinds. *)
 let fire_pending t p =
-  let bit = lnot (1 lsl p) in
-  t.locals <- t.locals land bit;
-  t.accesses <- t.accesses land bit;
+  unmark t p;
   let time = t.pending.(p) in
   if time > t.decide_until then begin
     t.decide_until <- -1;
@@ -1234,9 +1236,7 @@ let rec settle t =
 let rec abort_pass t m p =
   if m <> 0 then begin
     if m land 1 <> 0 then begin
-      let bit = lnot (1 lsl p) in
-      t.locals <- t.locals land bit;
-      t.accesses <- t.accesses land bit;
+      unmark t p;
       abort t p
     end;
     abort_pass t (m lsr 1) (p + 1)

@@ -1659,16 +1659,22 @@ exception Controller_failed
    the lock's handler never runs its [release], and the controller is
    not called again. *)
 let test_controller_raises_in_lock () =
-  let calls = ref 0 and raised = ref false and last = ref 1 in
+  let calls = ref 0 and late = ref 0 and raised = ref false in
+  let last = ref 1 in
   let controller locked _ runnable =
-    if !raised then Alcotest.fail "the controller was called after it raised";
-    incr calls;
-    if locked () then begin
-      raised := true;
-      raise Controller_failed
-    end;
-    last := round_robin !last runnable;
-    Sim.Scheduler.Fire !last
+    if !raised then begin
+      incr late;
+      Sim.Scheduler.Quit
+    end
+    else begin
+      incr calls;
+      if locked () then begin
+        raised := true;
+        raise Controller_failed
+      end;
+      last := round_robin !last runnable;
+      Sim.Scheduler.Fire !last
+    end
   in
   let result, handlers = locked_pair controller in
   (match result with
@@ -1676,17 +1682,18 @@ let test_controller_raises_in_lock () =
   | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
   | Ok _ -> Alcotest.fail "the controller's exception was lost");
   check_int "the call that raised" 6 !calls;
+  check_int "no call after it" 0 !late;
   check_int "no body's handler ran" 0 (List.length handlers)
 
 (* A controller that quits while a processor sits inside [with_lock]:
    both bodies unwind, [release] runs in the unwinding, and the
    controller is not consulted again. *)
 let test_controller_quits_in_lock () =
-  let calls = ref 0 and quit = ref false and last = ref 1 in
+  let calls = ref 0 and late = ref 0 and quit = ref false in
+  let last = ref 1 in
   let controller locked _ runnable =
-    if !quit then Alcotest.fail "the controller was called while unwinding";
-    incr calls;
-    if locked () then begin
+    if !quit then incr late else incr calls;
+    if !quit || locked () then begin
       quit := true;
       Sim.Scheduler.Quit
     end
@@ -1705,6 +1712,7 @@ let test_controller_quits_in_lock () =
           stats.rmws ]
   | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e));
   check_int "calls, the last one Quit" 6 !calls;
+  check_int "no call while unwinding" 0 !late;
   Alcotest.(check (list (pair int bool)))
     "each body saw Aborted" [ (0, true); (1, true) ]
     (List.sort compare handlers)

@@ -17,6 +17,11 @@ let cells = Memory.cells
 let cells_get = Memory.cells_get
 let cells_length = Memory.cells_length
 
+(* The running scheduler, read without a call into [Scheduler]: every
+   operation needs it.  Outside a run, [the_sched] raises. *)
+let[@inline] sched () =
+  match !Scheduler.active with Some t -> t | None -> Scheduler.the_sched ()
+
 (* Perform [eff]; under a controller, [Scheduler.ctl_perform] performs
    it, deciding it in place when it can.  Inlined: an uncontrolled op
    pays one test of [t.controller]. *)
@@ -26,50 +31,50 @@ let[@inline] perform (t : Scheduler.t) eff =
   | Some _ -> Scheduler.ctl_perform t eff
 
 let get c =
-  let t = Scheduler.the_sched () in
+  let t = sched () in
   t.op_reads <- t.op_reads + 1;
   perform t (Scheduler.Get c)
 
 let set c x =
-  let t = Scheduler.the_sched () in
+  let t = sched () in
   t.op_writes <- t.op_writes + 1;
   perform t (Scheduler.Set (c, x))
 
 let exchange c x =
-  let t = Scheduler.the_sched () in
+  let t = sched () in
   t.op_rmws <- t.op_rmws + 1;
   perform t (Scheduler.Exchange (c, x))
 
 let compare_and_set c expected desired =
-  let t = Scheduler.the_sched () in
+  let t = sched () in
   t.op_rmws <- t.op_rmws + 1;
   perform t (Scheduler.Cas (c, expected, desired))
 
 let fetch_and_add c k =
-  let t = Scheduler.the_sched () in
+  let t = sched () in
   t.op_rmws <- t.op_rmws + 1;
   perform t (Scheduler.Faa (c, k))
 
-let pid () = (Scheduler.the_sched ()).current
-let nprocs () = (Scheduler.the_sched ()).nprocs
+let pid () = (sched ()).current
+let nprocs () = (sched ()).nprocs
 
-let delay n = if n > 0 then perform (Scheduler.the_sched ()) (Scheduler.Delay n)
-let cpu_relax () = perform (Scheduler.the_sched ()) (Scheduler.Delay 1)
+let delay n = if n > 0 then perform (sched ()) (Scheduler.Delay n)
+let cpu_relax () = perform (sched ()) (Scheduler.Delay 1)
 
 (* One effect per wait: its slot stays parked, and the scheduler
    queues it again for each further read and [cpu_relax], counting the
    reads itself. *)
 let spin_until c until =
-  let t = Scheduler.the_sched () in
+  let t = sched () in
   t.op_reads <- t.op_reads + 1;
   Effect.perform (Scheduler.Spin { cell = c; until; pausing = false })
 
 let random_int n =
-  let t = Scheduler.the_sched () in
+  let t = sched () in
   Engine.Splitmix.int t.rngs.(t.current) n
 
 let random_bernoulli ~num ~den =
-  let t = Scheduler.the_sched () in
+  let t = sched () in
   Engine.Splitmix.bernoulli t.rngs.(t.current) ~num ~den
 
-let now () = (Scheduler.the_sched ()).clock
+let now () = (sched ()).clock

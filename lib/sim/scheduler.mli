@@ -224,6 +224,11 @@ type stats = {
           locations *)
 }
 
+val active : t option ref
+(** The running scheduler, [None] outside a run.  Only {!run} sets it
+    (and gives the enclosing run's back); the engine reads it on every
+    operation. *)
+
 val the_sched : unit -> t
 (** The running scheduler; raises [Failure] outside a run. *)
 

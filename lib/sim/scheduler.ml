@@ -364,8 +364,10 @@ let the_sched () =
    and what its dead-spin check needs (see the header), how many live
    processors wait in a [Spin], and whether they all came to since the
    last check.  [issue], [commit] and the handler keep those two
-   through [spin_groups], the running loop's state, so a step that
-   starts or ends no wait and ends no processor pays nothing for them. *)
+   through [spin_groups], the running run's state, so a step that
+   starts or ends no wait and ends no processor pays nothing for them.
+   A run outside [group_loop] keeps only the count and the flag: an
+   injector run makes the same check with no horizon. *)
 type groups = {
   member : int array;  (* per pid: the member after it, or -1 *)
   last : int array;  (* per leader of two or more: its last member *)
@@ -377,7 +379,8 @@ type groups = {
 let no_groups =
   { member = [||]; last = [||]; size = [||]; waiting = 0; armed = false }
 
-(* The running spin-group loop's state, [no_groups] in any other run.
+(* The running run's state: its spin-group loop's, or a record of its
+   own with no groups ([no_groups] is only the value outside a run).
    Each run sets it for its own duration and gives the enclosing run's
    back, as for [active]. *)
 let spin_groups = ref no_groups

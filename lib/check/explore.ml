@@ -43,9 +43,10 @@
    the same location in every execution that shares the prefix.
    [record] logs what it overwrites, and backtracking undoes the log,
    newest step first, down to the re-pointed frame.  A decision at
-   depth d below the last frame then only runs [note_spin], asserts
-   the frame's pid runnable and not blocked, checks that the pid's
-   pending access is the one the log holds for step d, and fires it.
+   depth d below the last frame then only runs [note_spin], reads the
+   frame's pid's pending access (no other pid's), asserts the pid
+   runnable and not blocked, checks that its access is the one the log
+   holds for step d, and fires it.
    Why this is exact:
    - Frame d still exists, so no frame below it has changed its choice
      since the execution that logged step d: backtracking re-points
@@ -75,21 +76,37 @@
    [note_spin] is not skipped: the spin counters it updates are built
    afresh in every execution, and the later steps read them.
 
+   One read per decision.  A decision made afresh reads every runnable
+   pid's pending access once ([Scheduler.pending_access], one match on
+   the slot) into per-pid int arrays: the location's id and epoch and
+   the access's kind.  The race checks, the spin-block test, the sleep
+   set's dependence test, [record] and the deadlock report all read
+   those arrays; only the chosen pid's location is read again, for
+   [note_spin], which compares its epoch after the access committed.
+
    The per-step bookkeeping builds no lists, options or hash buckets:
    sets of pids are bitmasks, the log entries and per-location records
-   and clocks are reused from one execution to the next, and a
-   replayed decision allocates nothing. *)
+   and clocks are reused from one execution to the next, clocks are
+   joined and copied in monomorphic loops, and a replayed decision
+   allocates nothing.  Nor does an execution rebuild the explorer's
+   own state: the controller closure, the spin counters and the
+   per-decision arrays live in the exploration ([exploration]) and are
+   reset when an execution starts.  An execution's schedule is read
+   off the log only for the runs the caller sees (a counterexample, a
+   replay). *)
 
 module S = Sim.Scheduler
 module M = Sim.Memory
 
-(* Minimal growable array (no Dynarray dependency). *)
+(* Minimal growable array (no Dynarray dependency).  [get] is inlined:
+   every step reads frames, log entries and location records through
+   it. *)
 module Vec = struct
   type 'a t = { mutable a : 'a array; mutable len : int }
 
   let create () = { a = [||]; len = 0 }
-  let length t = t.len
-  let get t i = t.a.(i)
+  let[@inline] length t = t.len
+  let[@inline] get t i = t.a.(i)
 
   let push t x =
     if t.len = Array.length t.a then begin
@@ -148,6 +165,21 @@ let rec lowest_from set p = if mem p set then p else lowest_from set (p + 1)
 
 (* The smallest pid in a non-empty set. *)
 let lowest set = lowest_from set 0
+
+(* Vector clocks of [n] words, joined and copied in monomorphic loops:
+   a polymorphic [>] compares through [caml_greaterthan], and
+   [Array.blit] is a C call, both dear on clocks of two or three
+   words. *)
+let join (dst : int array) (src : int array) n =
+  for i = 0 to n - 1 do
+    let v = src.(i) in
+    if v > dst.(i) then dst.(i) <- v
+  done
+
+let copy (src : int array) (dst : int array) n =
+  for i = 0 to n - 1 do
+    dst.(i) <- src.(i)
+  done
 
 (* One location's happens-before state: its newest access and newest
    write (1-based steps, 0 = none) and its writer and accumulated
@@ -251,11 +283,12 @@ let touch hb key =
 
 (* Undo the logged steps, newest first, until [s] remain. *)
 let rewind hb s =
+  let n = hb.n in
   while hb.steps > s do
     let e = Vec.get hb.log (hb.steps - 1) in
     let l = Vec.get hb.states e.e_slot in
-    Array.blit e.e_proc_cv 0 hb.proc_cv.(e.e_pid) 0 hb.n;
-    Array.blit e.e_loc_cv 0 (if is_write e.e_kind then l.wcv else l.rcv) 0 hb.n;
+    copy e.e_proc_cv hb.proc_cv.(e.e_pid) n;
+    copy e.e_loc_cv (if is_write e.e_kind then l.wcv else l.rcv) n;
     l.acc_step <- e.e_acc_step;
     l.acc_pid <- e.e_acc_pid;
     l.wr_step <- e.e_wr_step;
@@ -277,254 +310,318 @@ let no_loc : M.loc =
     shadow = Obj.repr ();
   }
 
-let run_once ?(seed = 0x5eed) ~spin_threshold ~max_steps ~mode ~frames ~hb
-    (program : program) =
-  let n = program.procs in
-  let base = M.loc_count () in
-  let inst = program.prepare () in
-  let depth = ref 0 in
-  let status = ref Complete in
-  let proc_cv = hb.proc_cv in
-  let join dst src =
-    for i = 0 to n - 1 do
-      if src.(i) > dst.(i) then dst.(i) <- src.(i)
-    done
-  in
-  (* Spin-block detection state. *)
-  let spin_loc = Array.make n (-1) in
-  let spin_fp = Array.make n min_int in
-  let spin_run = Array.make n 0 in
+(* One exploration, built once by [explore] or [replay]: the frame
+   stack and the happens-before state, which persist from one
+   execution to the next, and the state of the execution running,
+   which [reset] clears when it starts. *)
+type exploration = {
+  name : string;
+  n : int;
+  mode : mode;
+  spin_threshold : int;
+  max_steps : int;
+  frames : frame Vec.t;
+  hb : hb;
+  mutable base : int;  (* [M.loc_count ()] before this run's [prepare] *)
+  mutable depth : int;  (* accesses committed so far *)
+  mutable status : status;
+  mutable sleep : int;  (* the sleep set of the state being decided *)
+  (* Spin-block detection, per pid: the location of its latest
+     accesses, the epoch they left it at, and how many in a row. *)
+  spin_loc : int array;
+  spin_fp : int array;
+  spin_run : int array;
   (* The previous decision's pid (-1 = none) and location. *)
-  let last_pid = ref (-1) and last_loc = ref no_loc in
-  let note_spin () =
-    let p = !last_pid in
-    if p >= 0 then begin
-      last_pid := -1;
-      let l = !last_loc in
-      (* The fingerprint is read *after* the access committed: an
-         access that left the location's epoch exactly where this
-         processor last saw it made no progress. *)
-      if l.id = spin_loc.(p) && l.epoch_seq = spin_fp.(p) then
-        spin_run.(p) <- spin_run.(p) + 1
-      else begin
-        spin_loc.(p) <- l.id;
-        spin_fp.(p) <- l.epoch_seq;
-        spin_run.(p) <- 1
-      end
+  mutable last_pid : int;
+  mutable last_loc : M.loc;
+  (* Per pid, its pending access as the decision being made read it
+     (see the header): the location's id and epoch, and the kind. *)
+  loc_id : int array;
+  loc_epoch : int array;
+  kind : S.access_kind array;
+}
+
+let exploration ~spin_threshold ~max_steps ~mode (program : program) =
+  let n = program.procs in
+  {
+    name = program.name;
+    n;
+    mode;
+    spin_threshold;
+    max_steps;
+    frames = Vec.create ();
+    hb = new_hb n;
+    base = 0;
+    depth = 0;
+    status = Complete;
+    sleep = 0;
+    spin_loc = Array.make n (-1);
+    spin_fp = Array.make n min_int;
+    spin_run = Array.make n 0;
+    last_pid = -1;
+    last_loc = no_loc;
+    loc_id = Array.make n 0;
+    loc_epoch = Array.make n 0;
+    kind = Array.make n S.Acc_read;
+  }
+
+(* Start an execution: take the watermark its [prepare] allocates
+   from, and clear the state of the last one. *)
+let reset x =
+  x.base <- M.loc_count ();
+  x.depth <- 0;
+  x.status <- Complete;
+  x.sleep <- 0;
+  x.last_pid <- -1;
+  for p = 0 to x.n - 1 do
+    x.spin_loc.(p) <- -1;
+    x.spin_fp.(p) <- min_int;
+    x.spin_run.(p) <- 0
+  done
+
+(* Read [p]'s pending access into the decision's arrays. *)
+let read_pending x t p =
+  let l = S.pending_access t p x.kind in
+  x.loc_id.(p) <- l.M.id;
+  x.loc_epoch.(p) <- l.M.epoch_seq;
+  l
+
+let note_spin x =
+  let p = x.last_pid in
+  if p >= 0 then begin
+    x.last_pid <- -1;
+    let l = x.last_loc in
+    (* The fingerprint is read *after* the access committed: an access
+       that left the location's epoch exactly where this processor
+       last saw it made no progress. *)
+    if l.M.id = x.spin_loc.(p) && l.M.epoch_seq = x.spin_fp.(p) then
+      x.spin_run.(p) <- x.spin_run.(p) + 1
+    else begin
+      x.spin_loc.(p) <- l.M.id;
+      x.spin_fp.(p) <- l.M.epoch_seq;
+      x.spin_run.(p) <- 1
     end
-  in
-  let blocked t p =
-    let l = S.pending_loc t p in
-    S.pending_kind t p <> S.Acc_write
-    && spin_run.(p) >= spin_threshold
-    && l.M.id = spin_loc.(p)
-    && l.M.epoch_seq = spin_fp.(p)
-  in
-  let cur_sleep = ref 0 in
-  let add_backtrack i p =
-    if i >= 0 && i < Vec.length frames then begin
-      let f = Vec.get frames i in
-      f.f_backtrack <-
-        f.f_backtrack lor (if mem p f.f_enabled then bit p else f.f_enabled)
-    end
-  in
-  (* Is there a race between an executed access and [p]'s pending one?
-     The latest dependent transition is the location's newest access
-     if [p] writes, its newest write if [p] reads; it races iff by
-     another processor and not ordered before [p]'s next transition
-     by happens-before. *)
-  let race_check t p =
-    let k = find hb ((S.pending_loc t p).M.id - base) in
-    if k >= 0 then begin
-      let l = Vec.get hb.states k in
-      let wr = is_write (S.pending_kind t p) in
-      let step = if wr then l.acc_step else l.wr_step in
-      let q = if wr then l.acc_pid else l.wr_pid in
-      if step > 0 && q <> p && proc_cv.(p).(q) < step then
-        add_backtrack (step - 1) p
-    end
-  in
-  (* Step [!depth]'s access by [p], logging what it overwrites. *)
-  let record t p =
-    let loc = S.pending_loc t p and kind = S.pending_kind t p in
-    let key = loc.M.id - base in
-    let k = touch hb key in
+  end
+
+(* Is [p] spin-blocked on its pending access (read this decision)? *)
+let blocked x p =
+  x.kind.(p) <> S.Acc_write
+  && x.spin_run.(p) >= x.spin_threshold
+  && x.loc_id.(p) = x.spin_loc.(p)
+  && x.loc_epoch.(p) = x.spin_fp.(p)
+
+let add_backtrack frames i p =
+  if i >= 0 && i < Vec.length frames then begin
+    let f = Vec.get frames i in
+    f.f_backtrack <-
+      f.f_backtrack lor (if mem p f.f_enabled then bit p else f.f_enabled)
+  end
+
+(* Is there a race between an executed access and [p]'s pending one?
+   The latest dependent transition is the location's newest access if
+   [p] writes, its newest write if [p] reads; it races iff by another
+   processor and not ordered before [p]'s next transition by
+   happens-before. *)
+let race_check x p =
+  let hb = x.hb in
+  let k = find hb (x.loc_id.(p) - x.base) in
+  if k >= 0 then begin
     let l = Vec.get hb.states k in
-    let s = !depth in
-    assert (hb.steps = s);
-    if s = Vec.length hb.log then
-      Vec.push hb.log
-        { e_key = 0; e_kind = S.Acc_read; e_pid = 0; e_slot = 0;
-          e_acc_step = 0; e_acc_pid = 0; e_wr_step = 0; e_wr_pid = 0;
-          e_proc_cv = Array.make n 0; e_loc_cv = Array.make n 0 };
-    let e = Vec.get hb.log s in
-    let wr = is_write kind in
-    let cv = proc_cv.(p) in
-    e.e_key <- key;
-    e.e_kind <- kind;
-    e.e_pid <- p;
-    e.e_slot <- k;
-    e.e_acc_step <- l.acc_step;
-    e.e_acc_pid <- l.acc_pid;
-    e.e_wr_step <- l.wr_step;
-    e.e_wr_pid <- l.wr_pid;
-    Array.blit cv 0 e.e_proc_cv 0 n;
-    Array.blit (if wr then l.wcv else l.rcv) 0 e.e_loc_cv 0 n;
-    let step = s + 1 in
-    hb.steps <- step;
-    join cv l.wcv;
-    if wr then join cv l.rcv;
-    cv.(p) <- step;
-    if wr then Array.blit cv 0 l.wcv 0 n else join l.rcv cv;
-    l.acc_step <- step;
-    l.acc_pid <- p;
-    if wr then begin
-      l.wr_step <- step;
-      l.wr_pid <- p
-    end;
-    depth := step;
-    last_pid := p;
-    last_loc := loc
-  in
-  let dependent t q p =
-    (S.pending_loc t q).M.id = (S.pending_loc t p).M.id
-    && (is_write (S.pending_kind t q) || is_write (S.pending_kind t p))
-  in
-  let choose t runnable : S.choice =
-    note_spin ();
-    let d = !depth in
-    if d < Vec.length frames - 1 then begin
-      (* A decided step below the last frame: its state is logged and
-         its race checks, enabled set and sleep set are known (see the
-         header).  [Replay] keeps no frames. *)
-      let p = (Vec.get frames d).f_chosen in
-      assert (mem p runnable && not (blocked t p));
-      let loc = S.pending_loc t p and e = Vec.get hb.log d in
-      if loc.M.id - base <> e.e_key || S.pending_kind t p <> e.e_kind then
-        raise
-          (Replay_diverged
-             (Printf.sprintf
-                "%s: step %d (p%d) does not replay the access logged for \
-                 it; prepare or the program is not deterministic"
-                program.name (d + 1) p));
-      depth := d + 1;
-      last_pid := p;
-      last_loc := loc;
-      hb.fire.(p)
+    let wr = is_write x.kind.(p) in
+    let step = if wr then l.acc_step else l.wr_step in
+    let q = if wr then l.acc_pid else l.wr_pid in
+    if step > 0 && q <> p && hb.proc_cv.(p).(q) < step then
+      add_backtrack x.frames (step - 1) p
+  end
+
+let dependent x q p =
+  x.loc_id.(q) = x.loc_id.(p) && (is_write x.kind.(q) || is_write x.kind.(p))
+
+(* Step [x.depth]'s access by [p], to [loc], logging what it
+   overwrites. *)
+let record x p (loc : M.loc) =
+  let hb = x.hb and n = x.n in
+  let key = x.loc_id.(p) - x.base and kind = x.kind.(p) in
+  let k = touch hb key in
+  let l = Vec.get hb.states k in
+  let s = x.depth in
+  assert (hb.steps = s);
+  if s = Vec.length hb.log then
+    Vec.push hb.log
+      { e_key = 0; e_kind = S.Acc_read; e_pid = 0; e_slot = 0;
+        e_acc_step = 0; e_acc_pid = 0; e_wr_step = 0; e_wr_pid = 0;
+        e_proc_cv = Array.make n 0; e_loc_cv = Array.make n 0 };
+  let e = Vec.get hb.log s in
+  let wr = is_write kind in
+  let cv = hb.proc_cv.(p) in
+  e.e_key <- key;
+  e.e_kind <- kind;
+  e.e_pid <- p;
+  e.e_slot <- k;
+  e.e_acc_step <- l.acc_step;
+  e.e_acc_pid <- l.acc_pid;
+  e.e_wr_step <- l.wr_step;
+  e.e_wr_pid <- l.wr_pid;
+  copy cv e.e_proc_cv n;
+  copy (if wr then l.wcv else l.rcv) e.e_loc_cv n;
+  let step = s + 1 in
+  hb.steps <- step;
+  join cv l.wcv n;
+  if wr then join cv l.rcv n;
+  cv.(p) <- step;
+  if wr then copy cv l.wcv n else join l.rcv cv n;
+  l.acc_step <- step;
+  l.acc_pid <- p;
+  if wr then begin
+    l.wr_step <- step;
+    l.wr_pid <- p
+  end;
+  x.depth <- step;
+  x.last_pid <- p;
+  x.last_loc <- loc
+
+(* A decided step below the last frame: its state is logged and its
+   race checks, enabled set and sleep set are known (see the header).
+   [Replay] keeps no frames. *)
+let replayed x t runnable d =
+  let p = (Vec.get x.frames d).f_chosen in
+  assert (mem p runnable);
+  let loc = read_pending x t p in
+  assert (not (blocked x p));
+  let e = Vec.get x.hb.log d in
+  if x.loc_id.(p) - x.base <> e.e_key || x.kind.(p) <> e.e_kind then
+    raise
+      (Replay_diverged
+         (Printf.sprintf
+            "%s: step %d (p%d) does not replay the access logged for it; \
+             prepare or the program is not deterministic"
+            x.name (d + 1) p));
+  x.depth <- d + 1;
+  x.last_pid <- p;
+  x.last_loc <- loc;
+  x.hb.fire.(p)
+
+(* A decision made afresh at depth [d]. *)
+let decide x t runnable d : S.choice =
+  let n = x.n and dpor = match x.mode with Dpor -> true | _ -> false in
+  let enabled = ref 0 in
+  for p = 0 to n - 1 do
+    if mem p runnable then begin
+      ignore (read_pending x t p : M.loc);
+      if dpor then race_check x p;
+      if not (blocked x p) then enabled := !enabled lor bit p
     end
-    else if d >= max_steps then begin
-      status := Step_budget;
+  done;
+  let enabled = !enabled in
+  if enabled = 0 then begin
+    let procs = ref [] in
+    for p = n - 1 downto 0 do
+      if mem p runnable then procs := (p, x.loc_id.(p)) :: !procs
+    done;
+    x.status <- Deadlocked !procs;
+    S.Quit
+  end
+  else
+    let pick =
+      match x.mode with
+      | Replay forced ->
+          if d < Array.length forced && mem forced.(d) enabled then forced.(d)
+          else lowest enabled
+      | Dpor | Naive ->
+          if d < Vec.length x.frames then begin
+            (* The last frame, whose choice backtracking changed. *)
+            let f = Vec.get x.frames d in
+            assert (mem f.f_chosen enabled);
+            f.f_chosen
+          end
+          else begin
+            match enabled land lnot x.sleep with
+            | 0 -> -1
+            | awake ->
+                let p = lowest awake in
+                Vec.push x.frames
+                  {
+                    f_enabled = enabled;
+                    f_sleep = x.sleep;
+                    f_backtrack = (if dpor then bit p else enabled);
+                    f_done = bit p;
+                    f_chosen = p;
+                  };
+                p
+          end
+    in
+    if pick < 0 then begin
+      x.status <- Sleep_blocked;
       S.Quit
     end
     else begin
-      (match mode with
-      | Dpor ->
-          for p = 0 to n - 1 do
-            if mem p runnable then race_check t p
-          done
-      | Naive | Replay _ -> ());
-      let enabled = ref 0 in
-      for p = 0 to n - 1 do
-        if mem p runnable && not (blocked t p) then enabled := !enabled lor bit p
-      done;
-      let enabled = !enabled in
-      if enabled = 0 then begin
-        let procs = ref [] in
-        for p = n - 1 downto 0 do
-          if mem p runnable then
-            procs := (p, (S.pending_loc t p).M.id) :: !procs
+      if dpor then begin
+        (* Sleep set of the successor: explored siblings join, anything
+           dependent on the chosen access wakes. *)
+        let f = Vec.get x.frames d in
+        let base = f.f_sleep lor (f.f_done land lnot (bit pick)) in
+        let sleep = ref 0 in
+        for q = 0 to n - 1 do
+          if mem q base && mem q runnable && not (dependent x q pick) then
+            sleep := !sleep lor bit q
         done;
-        status := Deadlocked !procs;
-        S.Quit
-      end
-      else
-        let pick =
-          match mode with
-          | Replay forced ->
-              if d < Array.length forced && mem forced.(d) enabled then
-                forced.(d)
-              else lowest enabled
-          | Dpor | Naive ->
-              if d < Vec.length frames then begin
-                (* The last frame, whose choice backtracking changed. *)
-                let f = Vec.get frames d in
-                assert (mem f.f_chosen enabled);
-                f.f_chosen
-              end
-              else begin
-                match enabled land lnot !cur_sleep with
-                | 0 -> -1
-                | awake ->
-                    let p = lowest awake in
-                    Vec.push frames
-                      {
-                        f_enabled = enabled;
-                        f_sleep = !cur_sleep;
-                        f_backtrack =
-                          (match mode with Naive -> enabled | _ -> bit p);
-                        f_done = bit p;
-                        f_chosen = p;
-                      };
-                    p
-              end
-        in
-        if pick < 0 then begin
-          status := Sleep_blocked;
-          S.Quit
-        end
-        else begin
-          (match mode with
-          | Dpor ->
-              (* Sleep set of the successor: explored siblings join,
-                 anything dependent on the chosen access wakes. *)
-              let f = Vec.get frames d in
-              let base = f.f_sleep lor (f.f_done land lnot (bit pick)) in
-              let sleep = ref 0 in
-              for q = 0 to n - 1 do
-                if mem q base && mem q runnable && not (dependent t q pick)
-                then sleep := !sleep lor bit q
-              done;
-              cur_sleep := !sleep
-          | Naive | Replay _ -> ());
-          record t pick;
-          hb.fire.(pick)
-        end
+        x.sleep <- !sleep
+      end;
+      record x pick (S.pending_loc t pick);
+      x.hb.fire.(pick)
     end
-  in
+
+(* The controller: every decision of every execution of [x]. *)
+let choose x t runnable : S.choice =
+  note_spin x;
+  let d = x.depth in
+  if d < Vec.length x.frames - 1 then replayed x t runnable d
+  else if d >= x.max_steps then begin
+    x.status <- Step_budget;
+    S.Quit
+  end
+  else decide x t runnable d
+
+(* One execution of [program] under [controller], which decides
+   through [x]: its violations.  Its depth and status are left in
+   [x]. *)
+let run_once ~seed x controller (program : program) =
+  reset x;
+  let inst = program.prepare () in
   let result =
     match
-      Sim.run ~seed ~config:Sim.Memory.uniform_config ~controller:choose
-        ~procs:n inst.body
+      Sim.run ~seed ~config:Sim.Memory.uniform_config ~controller ~procs:x.n
+        inst.body
     with
     | (_ : Sim.stats) -> Ok ()
     | exception (Replay_diverged _ as e) -> raise e
     | exception e -> Error e
   in
-  let violations =
-    match result with
-    | Error e ->
-        [ { Monitor.property = "no-crash"; detail = Printexc.to_string e } ]
-    | Ok () -> (
-        match !status with
-        | Complete -> Monitor.violations_of (inst.at_quiescence ())
-        | Deadlocked procs ->
-            [
-              {
-                Monitor.property = "deadlock";
-                detail =
-                  Printf.sprintf
-                    "every unfinished processor is spin-blocked: %s"
-                    (String.concat ", "
-                       (List.map
-                          (fun (p, l) -> Printf.sprintf "p%d on loc %d" p l)
-                          procs));
-              };
-            ]
-        | Sleep_blocked | Step_budget -> [])
-  in
+  match result with
+  | Error e ->
+      [ { Monitor.property = "no-crash"; detail = Printexc.to_string e } ]
+  | Ok () -> (
+      match x.status with
+      | Complete -> Monitor.violations_of (inst.at_quiescence ())
+      | Deadlocked procs ->
+          [
+            {
+              Monitor.property = "deadlock";
+              detail =
+                Printf.sprintf "every unfinished processor is spin-blocked: %s"
+                  (String.concat ", "
+                     (List.map
+                        (fun (p, l) -> Printf.sprintf "p%d on loc %d" p l)
+                        procs));
+            };
+          ]
+      | Sleep_blocked | Step_budget -> [])
+
+(* The execution that just ran, as the caller sees it. *)
+let run_of x violations =
   {
-    schedule = Array.init !depth (fun i -> (Vec.get hb.log i).e_pid);
-    status = !status;
+    schedule = Array.init x.depth (fun i -> (Vec.get x.hb.log i).e_pid);
+    status = x.status;
     violations;
   }
 
@@ -539,10 +636,30 @@ type outcome = {
   counterexample : (Monitor.violation * run) option;
 }
 
+(* Backtrack: re-point the deepest frame with an unexplored candidate,
+   dropping the exhausted ones above it.  False when none is left. *)
+let rec backtrack frames =
+  Vec.length frames > 0
+  &&
+  let f = Vec.get frames (Vec.length frames - 1) in
+  match f.f_backtrack land lnot (f.f_done lor f.f_sleep) with
+  | 0 ->
+      Vec.truncate frames (Vec.length frames - 1);
+      backtrack frames
+  | todo ->
+      let p = lowest todo in
+      f.f_chosen <- p;
+      f.f_done <- f.f_done lor bit p;
+      true
+
 let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
     ?(spin_threshold = 3) ?(seed = 0x5eed) ?(stop_on_violation = true) program =
-  let frames = Vec.create () and hb = new_hb program.procs in
-  let mode = if dpor then Dpor else Naive in
+  let x =
+    exploration ~spin_threshold ~max_steps
+      ~mode:(if dpor then Dpor else Naive)
+      program
+  in
+  let controller t runnable = choose x t runnable in
   let runs = ref 0
   and complete = ref 0
   and deadlocks = ref 0
@@ -558,39 +675,21 @@ let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
          capped := true;
          raise Exit
        end;
-       let r =
-         run_once ~seed ~spin_threshold ~max_steps ~mode ~frames ~hb program
-       in
+       let violations = run_once ~seed x controller program in
        incr runs;
-       if Array.length r.schedule > !max_depth then
-         max_depth := Array.length r.schedule;
-       (match r.status with
+       if x.depth > !max_depth then max_depth := x.depth;
+       (match x.status with
        | Complete -> incr complete
        | Deadlocked _ -> incr deadlocks
        | Sleep_blocked -> incr sleep_blocked
        | Step_budget -> incr budget_hits);
-       (match r.violations with
+       (match violations with
        | v :: _ when !cex = None ->
-           cex := Some (v, r);
+           cex := Some (v, run_of x violations);
            if stop_on_violation then raise Exit
        | _ -> ());
-       (* Backtrack: deepest frame with an unexplored candidate. *)
-       let rec pop () =
-         if Vec.length frames = 0 then exhausted := true
-         else begin
-           let f = Vec.get frames (Vec.length frames - 1) in
-           match f.f_backtrack land lnot (f.f_done lor f.f_sleep) with
-           | 0 ->
-               Vec.truncate frames (Vec.length frames - 1);
-               pop ()
-           | todo ->
-               let p = lowest todo in
-               f.f_chosen <- p;
-               f.f_done <- f.f_done lor bit p
-         end
-       in
-       pop ();
-       if not !exhausted then rewind hb (Vec.length frames - 1)
+       if backtrack x.frames then rewind x.hb (Vec.length x.frames - 1)
+       else exhausted := true
      done
    with Exit -> ());
   {
@@ -606,8 +705,13 @@ let explore ?(dpor = true) ?(max_interleavings = 100_000) ?(max_steps = 20_000)
 
 let replay ?(seed = 0x5eed) ?(spin_threshold = 3) ?(max_steps = 20_000) program
     schedule =
-  run_once ~seed ~spin_threshold ~max_steps ~mode:(Replay schedule)
-    ~frames:(Vec.create ()) ~hb:(new_hb program.procs) program
+  let x =
+    exploration ~spin_threshold ~max_steps ~mode:(Replay schedule) program
+  in
+  let violations =
+    run_once ~seed x (fun t runnable -> choose x t runnable) program
+  in
+  run_of x violations
 
 (* --- Counterexample minimization and rendering ----------------------- *)
 

@@ -440,6 +440,36 @@ let pending_kind t p =
   | Idle when deciding t p -> t.in_kind
   | Idle | Start -> invalid_arg "Sim: no pending access"
 
+let no_access () = invalid_arg "Sim: no pending access"
+
+(* Both at once, in one match: the location, and the kind stored in
+   [kinds.(p)]. *)
+let pending_access t p kinds =
+  match t.slots.(p) with
+  | Parked (_, Spin s) ->
+      if s.pausing then no_access ();
+      kinds.(p) <- Acc_read;
+      s.cell.Memory.loc
+  | Parked (_, Get c) ->
+      kinds.(p) <- Acc_read;
+      c.Memory.loc
+  | Parked (_, Set (c, _)) ->
+      kinds.(p) <- Acc_write;
+      c.Memory.loc
+  | Parked (_, Exchange (c, _)) ->
+      kinds.(p) <- Acc_rmw;
+      c.Memory.loc
+  | Parked (_, Cas (c, _, _)) ->
+      kinds.(p) <- Acc_rmw;
+      c.Memory.loc
+  | Parked (_, Faa (c, _)) ->
+      kinds.(p) <- Acc_rmw;
+      c.Memory.loc
+  | Idle when deciding t p ->
+      kinds.(p) <- t.in_kind;
+      t.in_loc
+  | Parked _ | Idle | Start -> no_access ()
+
 (* A parked event a controller does not decide: a start or a pause — a
    delay, or a spinning slot's [cpu_relax]. *)
 let is_local = function

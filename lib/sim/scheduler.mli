@@ -243,6 +243,12 @@ val pending_kind : t -> int -> access_kind
 (** The kind of processor [p]'s parked access; raises like
     {!pending_loc}. *)
 
+val pending_access : t -> int -> access_kind array -> Memory.loc
+(** [pending_access t p kinds] is [pending_loc t p], with
+    [pending_kind t p] stored in [kinds.(p)]: both read in one match on
+    [p]'s slot, for a controller that reads every runnable pid's access
+    at each decision.  Raises like {!pending_loc}. *)
+
 val ctl_perform : t -> 'a Effect.t -> 'a
 (** [ctl_perform t eff]: under a controller, the running processor
     performs [eff], an access or a [Delay] ([Engine_impl] calls it in

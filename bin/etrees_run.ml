@@ -26,6 +26,37 @@ let reject cmd fmt =
       exit 2)
     fmt
 
+(* An output file ([--trace-out], [--counterexample-out], [--out]),
+   checked before any work: [output cmd file] rejects a file whose
+   directory is missing or not writable, or that is a directory or not
+   writable itself, and creates nothing.  It returns the guard to run
+   the write under: a [Sys_error] the write still raises (also from a
+   [Fun.protect]'s [close_out]) exits 2 too, with one line naming the
+   subcommand, the file and the reason.  With no file the guard only
+   runs the write. *)
+let output cmd file =
+  match file with
+  | None -> fun write -> write ()
+  | Some file ->
+      let cannot fmt = reject cmd ("cannot write %s: " ^^ fmt) file in
+      let dir = Filename.dirname file in
+      let writable f =
+        match Unix.access f [ Unix.W_OK ] with
+        | () -> true
+        | exception Unix.Unix_error _ -> false
+      in
+      if not (Sys.file_exists dir && Sys.is_directory dir) then
+        cannot "no directory %s" dir;
+      if not (writable dir) then cannot "directory %s is not writable" dir;
+      if Sys.file_exists file then begin
+        if Sys.is_directory file then cannot "it is a directory";
+        if not (writable file) then cannot "it is not writable"
+      end;
+      fun write ->
+        try write ()
+        with Sys_error why | Fun.Finally_raised (Sys_error why) ->
+          cannot "%s" why
+
 let need_procs cmd procs =
   if procs < 1 then reject cmd "--procs must be positive, got %d" procs
 
@@ -536,6 +567,7 @@ let trace_cmd =
     need_procs "trace" procs;
     need_horizon "trace" horizon;
     need_workload "trace" workload;
+    let guard = output "trace" out in
     let chrome_level = match out with Some _ -> Some level | None -> None in
     let tr =
       W.Traced.run ?chrome_level ~procs (fun () ->
@@ -546,7 +578,7 @@ let trace_cmd =
     Printf.printf "%s procs=%d workload=%d: %d ops, %d ops/Mcycle\n\n" name
       procs workload p.W.Produce_consume.ops
       p.W.Produce_consume.throughput_per_m;
-    let r = W.Traced.report ~name ~workload ?out ~validate:check tr in
+    let r = guard (fun () -> W.Traced.report ~name ~workload ?out ~validate:check tr) in
     print_string r.W.Traced.text;
     if r.W.Traced.failures <> [] then begin
       List.iter (Printf.eprintf "trace: %s\n") r.W.Traced.failures;
@@ -643,8 +675,11 @@ let check_cmd =
       & opt (some string) None
       & info [ "expect-violation" ]
           ~doc:
-            "Invert the exit status: succeed only if a violation of this \
-             property (e.g. $(b,step-property), $(b,deadlock)) is found.")
+            (Printf.sprintf
+               "Invert the exit status: succeed only if a violation of this \
+                property is found: one of %s."
+               (String.concat ", "
+                  (List.map (Printf.sprintf "$(b,%s)") Check.Monitor.properties))))
   in
   let schedule_t =
     Arg.(
@@ -678,6 +713,14 @@ let check_cmd =
     if max_interleavings < 1 then
       reject "check" "--max-interleavings must be positive, got %d"
         max_interleavings;
+    Option.iter
+      (fun p ->
+        if not (List.mem p Check.Monitor.properties) then
+          reject "check" "--expect-violation %S names no property (one of: %s)"
+            p
+            (String.concat ", " Check.Monitor.properties))
+      expect;
+    let guard = output "check" trace_out in
     let program = scenario.Check.Scenario.make ~procs ~width ~ops in
     let traced_replay sched =
       match trace_out with
@@ -689,7 +732,7 @@ let check_cmd =
               (Etrace.Chrome.on_event c)
               (fun () -> Ex.replay ~seed ~max_steps program sched)
           in
-          Etrace.Chrome.write ~file c;
+          guard (fun () -> Etrace.Chrome.write ~file c);
           Printf.printf "wrote counterexample trace to %s\n" file;
           r
     in
@@ -924,13 +967,15 @@ let netverify_cmd =
       List.iter print_endline NB.names;
       exit 0
     end;
+    let guard = output "netverify" cex_out in
     let out = Buffer.create 256 in
     let finish code =
       (match cex_out with
       | Some file when Buffer.length out > 0 ->
-          let oc = open_out file in
-          output_string oc (Buffer.contents out);
-          close_out oc;
+          guard (fun () ->
+              Out_channel.with_open_text file (fun oc ->
+                  Out_channel.output_string oc (Buffer.contents out);
+                  Out_channel.flush oc));
           Printf.printf "wrote counterexample report to %s\n" file
       | _ -> ());
       exit code
@@ -1155,10 +1200,12 @@ let perf_cmd =
         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output HTML file.")
     in
     let run db exps out =
+      let guard = output "perf page" (Some out) in
       let sections =
         List.map (fun exp -> (exp, load_db ~db exp)) (pick_exps exps)
       in
-      Benchdb.Page.write ~file:out ~generated:(stamp ()) sections;
+      guard (fun () ->
+          Benchdb.Page.write ~file:out ~generated:(stamp ()) sections);
       Printf.printf "wrote %s (%d experiments)\n" out (List.length sections)
     in
     Cmd.v
@@ -1176,10 +1223,11 @@ let perf_cmd =
         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output markdown file.")
     in
     let run db exps out =
+      let guard = output "perf baseline" (Some out) in
       let sections =
         List.map (fun exp -> (exp, load_db ~db exp)) (pick_exps exps)
       in
-      Benchdb.Baseline.write ~file:out ~db_dir:db sections;
+      guard (fun () -> Benchdb.Baseline.write ~file:out ~db_dir:db sections);
       Printf.printf "wrote %s (%d experiments)\n" out (List.length sections)
     in
     Cmd.v

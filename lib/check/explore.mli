@@ -23,7 +23,11 @@ type status =
   | Step_budget  (** per-run step cap hit (unbounded spinning) *)
 
 type run = {
-  schedule : int array;  (** committed accesses, as chosen pids in order *)
+  schedule : int array;
+      (** committed accesses, as chosen pids in order.  Only the runs a
+          caller sees carry one: {!explore} builds it for its
+          counterexample alone, not for every execution, and {!replay}
+          for its result. *)
   status : status;
   violations : Monitor.violation list;
       (** deadlock / crash / failed quiescent monitors *)
@@ -35,7 +39,9 @@ type outcome = {
   deadlocks : int;
   sleep_blocked : int;
   budget_hits : int;
-  max_depth : int;  (** longest schedule seen (shared accesses) *)
+  max_depth : int;
+      (** most accesses committed by one execution: the length its
+          schedule would have *)
   capped : bool;  (** stopped at [max_interleavings] before exhausting *)
   counterexample : (Monitor.violation * run) option;  (** first found *)
 }

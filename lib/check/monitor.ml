@@ -10,6 +10,10 @@
 type verdict = { property : string; ok : bool; detail : string }
 type violation = { property : string; detail : string }
 
+let properties =
+  [ "step-property"; "conservation"; "paired-balance"; "quiescent-consistency";
+    "deadlock"; "no-crash" ]
+
 let violations_of verdicts =
   List.filter_map
     (fun v ->

@@ -5,6 +5,11 @@
 type verdict = { property : string; ok : bool; detail : string }
 type violation = { property : string; detail : string }
 
+val properties : string list
+(** Every property a violation can name: the monitors' step-property,
+    conservation, paired-balance and quiescent-consistency, and the
+    explorer's deadlock and no-crash. *)
+
 val violations_of : verdict list -> violation list
 (** The failed verdicts, in order. *)
 

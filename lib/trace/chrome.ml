@@ -246,9 +246,12 @@ let contents t =
   Buffer.add_string out "\n]}\n";
   Buffer.contents out
 
+(* Flushed before [with_open_bin] closes the channel, which would
+   swallow a failed last write. *)
 let write ~file t =
   Out_channel.with_open_bin file (fun oc ->
-      Out_channel.output_string oc (contents t))
+      Out_channel.output_string oc (contents t);
+      Out_channel.flush oc)
 
 (* -- validation ---------------------------------------------------- *)
 

@@ -578,7 +578,9 @@ let trace_cmd =
     Printf.printf "%s procs=%d workload=%d: %d ops, %d ops/Mcycle\n\n" name
       procs workload p.W.Produce_consume.ops
       p.W.Produce_consume.throughput_per_m;
-    let r = guard (fun () -> W.Traced.report ~name ~workload ?out ~validate:check tr) in
+    let r =
+      guard (fun () -> W.Traced.report ~name ~workload ?out ~validate:check tr)
+    in
     print_string r.W.Traced.text;
     if r.W.Traced.failures <> [] then begin
       List.iter (Printf.eprintf "trace: %s\n") r.W.Traced.failures;
@@ -679,7 +681,8 @@ let check_cmd =
                "Invert the exit status: succeed only if a violation of this \
                 property is found: one of %s."
                (String.concat ", "
-                  (List.map (Printf.sprintf "$(b,%s)") Check.Monitor.properties))))
+                  (List.map (Printf.sprintf "$(b,%s)")
+                     Check.Monitor.properties))))
   in
   let schedule_t =
     Arg.(

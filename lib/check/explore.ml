@@ -18,11 +18,14 @@
 
    Happens-before is tracked with vector clocks: one clock per
    processor, plus per-location writer and (accumulated) reader
-   clocks.  Dependent accesses to a single location are totally
-   ordered amongst themselves in any one execution, so the latest
-   transition a pending access depends on is the location's newest
-   access if the pending one writes, and its newest write if it only
-   reads: two records per location stand in for an access log.
+   clocks.  The race check takes the latest transition a pending
+   access depends on to be the location's newest access if the pending
+   one writes, and its newest write if it only reads: two records per
+   location stand in for an access log.  That misses races: two reads
+   of a location are not ordered, so a write can race an earlier read
+   by another processor while the newest access happens before it, and
+   a backtrack point may name a processor its frame's sleep set holds
+   (docs/CHECKING.md, "Known gap"; `dune build @dpor-outcomes`).
 
    Blocking (spin loops re-reading an unchanged location) is detected
    with the location epoch fingerprint that [Memory.commit_stamp]

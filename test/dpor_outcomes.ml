@@ -20,7 +20,11 @@
 module E = Sim.Engine
 module Ex = Check.Explore
 
-type op = Get of int | Set of int * int | Cas of int * int * int | Faa of int * int
+type op =
+  | Get of int
+  | Set of int * int
+  | Cas of int * int * int
+  | Faa of int * int
 
 let show_op = function
   | Get c -> Printf.sprintf "get c%d" c
@@ -45,7 +49,8 @@ let gen_program =
         map2 (fun c k -> Faa (c, k)) cell (int_range 1 2);
       ]
   in
-  int_range 2 3 >>= fun procs -> array_repeat procs (list_size (int_range 1 3) op)
+  int_range 2 3 >>= fun procs ->
+  array_repeat procs (list_size (int_range 1 3) op)
 
 (* Smaller programs: one call fewer, or one processor fewer, keeping
    at least two processors of at least one call each. *)
